@@ -4,7 +4,6 @@
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "common/time_ledger.h"
 
 namespace pregelix {
 
@@ -97,7 +96,7 @@ Status BufferCache::CloseFile(int file_id) {
   PREGELIX_CHECK(file_id >= 0 && file_id < static_cast<int>(files_.size()));
   FileEntry& entry = files_[file_id];
   if (!entry.open) return Status::OK();
-  Status result = SettleReadAheadLocked(entry);
+  Status result;
   for (size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
     if (slot.valid && slot.file_id == file_id) {
@@ -130,7 +129,6 @@ Status BufferCache::DeleteFile(int file_id) {
     FileEntry& entry = files_[file_id];
     if (!entry.open) return Status::OK();
     path = entry.path;
-    (void)SettleReadAheadLocked(entry);  // the file is going away anyway
     for (size_t i = 0; i < slots_.size(); ++i) {
       Slot& slot = slots_[i];
       if (slot.valid && slot.file_id == file_id) {
@@ -149,24 +147,6 @@ Status BufferCache::DeleteFile(int file_id) {
   }
   DeleteFileIfExists(path);
   return Status::OK();
-}
-
-Status BufferCache::SettleReadAheadLocked(FileEntry& entry) {
-  if (entry.ahead == nullptr || !entry.ahead->valid) return Status::OK();
-  // Ledger: blocked on a background read completing — io_wait (§20).
-  ScopedTimeCategory io_wait(TimeCategory::kIoWait);
-  Status s = overlap_->prefetch().Await(&entry.ahead->slot);
-  entry.ahead->valid = false;
-  return s;
-}
-
-void BufferCache::DetachOverlap() {
-  MutexLock lock(&mutex_);
-  if (overlap_ == nullptr) return;
-  for (FileEntry& entry : files_) {
-    (void)SettleReadAheadLocked(entry);
-  }
-  overlap_ = nullptr;
 }
 
 uint32_t BufferCache::NumPages(int file_id) const {
@@ -258,74 +238,13 @@ Status BufferCache::PinExistingOrLoadLocked(int file_id, PageId page,
           entry.touched && page > entry.last_miss_page;
       entry.touched = true;
       entry.last_miss_page = page;
-      if (metrics_ != nullptr && !sequential) {
-        metrics_->AddSeeks(1);
-        if (getenv("PREGELIX_SEEK_DEBUG") != nullptr) {
-          fprintf(stderr, "SEEK %s page %u\n", entry.path.c_str(), page);
-        }
-      }
-      // Sequential read-ahead (DESIGN.md §19): a forward scan's next page
-      // may already be in flight on the prefetch pool — consume it instead
-      // of re-reading. A mismatched page is wasted work: the await (never
-      // a cancel) still completes the background read, keeping the byte
-      // counters deterministic, and the sync read below takes over.
-      bool satisfied = false;
-      if (entry.ahead != nullptr && entry.ahead->valid) {
-        ReadAhead& ahead = *entry.ahead;
-        Status as;
-        {
-          // Ledger: park on the in-flight read-ahead — io_wait (§20).
-          ScopedTimeCategory io_wait(TimeCategory::kIoWait);
-          as = overlap_->prefetch().Await(&ahead.slot);
-        }
-        ahead.valid = false;
-        if (ahead.page == page) {
-          if (!as.ok()) {
-            slot.valid = false;
-            slot.pin_count = 0;
-            return as;
-          }
-          memcpy(slot.data.data(), ahead.buf.data(), page_size_);
-          satisfied = true;
-        }
-      }
-      if (!satisfied) {
-        Status s = entry.file->Read(
-            static_cast<uint64_t>(page) * page_size_, page_size_,
-            slot.data.data());
-        if (!s.ok()) {
-          slot.valid = false;
-          slot.pin_count = 0;
-          return s;
-        }
-      }
-      // Keep the scan one page ahead. Only pages absent from the cache are
-      // eligible, which also makes the read race-free: a page can only
-      // re-enter the cache through the await above, so no write-back can
-      // touch its file region while the background read is in flight.
-      if (overlap_ != nullptr && sequential && page + 1 < entry.num_pages &&
-          page_table_.find(Key(file_id, page + 1)) == page_table_.end()) {
-        if (entry.ahead == nullptr) {
-          entry.ahead = std::make_unique<ReadAhead>();
-        }
-        ReadAhead& ahead = *entry.ahead;
-        ahead.page = page + 1;
-        if (ahead.buf.size() != page_size_) {
-          ahead.buf.assign(page_size_, '\0');
-        }
-        RandomAccessFile* file = entry.file.get();
-        WorkerMetrics* metrics = metrics_;
-        char* buf = ahead.buf.data();
-        const uint64_t off = static_cast<uint64_t>(ahead.page) * page_size_;
-        const size_t n = page_size_;
-        overlap_->prefetch().Schedule(
-            &ahead.slot, [file, metrics, buf, off, n]() -> Status {
-              PREGELIX_RETURN_NOT_OK(fault::MaybeFail("io.prefetch.read"));
-              PREGELIX_RETURN_NOT_OK(file->Read(off, n, buf));
-              if (metrics != nullptr) metrics->AddOverlapIo(n);
-              return Status::OK();
-            });
-        ahead.valid = true;
+      if (metrics_ != nullptr && !sequential) metrics_->AddSeeks(1);
+      Status s = entry.file->Read(static_cast<uint64_t>(page) * page_size_,
+                                  page_size_, slot.data.data());
+      if (!s.ok()) {
+        slot.valid = false;
+        slot.pin_count = 0;
+        return s;
       }
     } else {
       memset(slot.data.data(), 0, page_size_);

@@ -42,8 +42,6 @@ enum class LockRank : int {
   kCluster = 10,         // SimulatedCluster worker table
   kChannel = 20,         // FrameChannel queue + spill state
   kBufferCache = 30,     // BufferCache page table / LRU / files
-  kOverlapPrefetch = 32,    // PrefetchPool slots (under kChannel & kBufferCache)
-  kOverlapWriteBehind = 34, // WriteBehindQueue jobs + budget (under kChannel)
   kExecutorStatus = 40,  // RunJob first-error slot
   kPregelGlobalState = 45,  // JobRuntimeContext pending GS
   kWatchdog = 48,        // StallWatchdog arm/disarm state

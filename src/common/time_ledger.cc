@@ -23,8 +23,6 @@ std::string WorkerKey(int worker) {
       return "driver";
     case TimeLedger::kServerWorker:
       return "server";
-    case TimeLedger::kOverlapWorker:
-      return "overlap";
     default:
       return std::to_string(worker);
   }
@@ -222,9 +220,9 @@ void TimeLedger::Reattribute(TimeCategory to, uint64_t ns) {
   const size_t cur =
       static_cast<size_t>(r->current.load(std::memory_order_relaxed));
   if (cur == static_cast<size_t>(to)) return;
-  // Signed accumulators: overlapping reattributions (a contended cv
-  // reacquisition inside a measured overlap wait) may transiently drive a
-  // bucket negative; the sum — and so conservation — is untouched.
+  // Signed accumulators: overlapping reattributions (a contended lock
+  // reacquisition inside an already-reattributed wait) may transiently drive
+  // a bucket negative; the sum — and so conservation — is untouched.
   r->acc[cur].fetch_sub(static_cast<int64_t>(ns), std::memory_order_relaxed);
   r->acc[static_cast<size_t>(to)].fetch_add(static_cast<int64_t>(ns),
                                             std::memory_order_relaxed);
@@ -429,7 +427,7 @@ void TimeLedger::WritePrometheus(std::ostream& os) const {
   }
   const std::map<std::string, int64_t> io_wait =
       snap.ByLabel(TimeCategory::kIoWait);
-  os << "# HELP pregelix_io_wait_seconds_total Overlap I/O wait by operator "
+  os << "# HELP pregelix_io_wait_seconds_total I/O wait by operator "
         "(the ledger io_wait bucket, per-operator).\n"
         "# TYPE pregelix_io_wait_seconds_total counter\n";
   for (const auto& [label, ns] : io_wait) {

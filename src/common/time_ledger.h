@@ -32,11 +32,10 @@
 // subsequent time to the new one; leaving resumes the parent. Nested scopes
 // therefore suspend their parent — no nanosecond is ever double-counted.
 // `Reattribute` moves already-elapsed (and already-measured) nanoseconds
-// from the current category into another one; the run-file layer uses it to
-// move measured overlap waits into `io_wait` so the ledger bucket equals
-// PR 9's per-operator `io_wait_ns` exactly. `ChargeLockWait` is called by
-// `pregelix::Mutex` on every *contended* acquisition and both reclassifies
-// the blocked interval as `lock_wait` and feeds a per-lock-name table.
+// from the current category into another one. `ChargeLockWait` is called by
+// `pregelix::Mutex` on every *contended* acquisition and uses it to
+// reclassify the blocked interval as `lock_wait`; it also feeds a
+// per-lock-name table.
 //
 // The ledger's own internals use only std:: primitives (a raw std::mutex
 // for the thread registry, atomics everywhere else) — never a
@@ -67,11 +66,11 @@ enum class TimeCategory : int {
   kBarrierWait,   ///< driver waiting on the superstep join barrier
   kIoRead,        ///< foreground file reads (pread / buffered read)
   kIoWrite,       ///< foreground file writes (append / pwrite / flush)
-  kIoWait,        ///< uncovered overlap waits (absorbs PR 9's io_wait_ns)
+  kIoWait,        ///< blocked on background I/O; 0 since all I/O is sync
   kLockWait,      ///< contended pregelix::Mutex acquisitions
   kCheckpoint,    ///< driver-side checkpoint/recovery bookkeeping
   kServe,         ///< observability-server request handling
-  kIdle,          ///< attached but parked with no work (pool workers)
+  kIdle,          ///< attached but parked with no work (server workers)
 };
 
 inline constexpr int kNumTimeCategories = 13;
@@ -128,7 +127,6 @@ class TimeLedger {
   /// Pseudo-worker ids for threads that are not simulated-cluster workers.
   static constexpr int kDriverWorker = -1;
   static constexpr int kServerWorker = -2;
-  static constexpr int kOverlapWorker = -3;
 
   TimeLedger();
   ~TimeLedger();
@@ -152,9 +150,9 @@ class TimeLedger {
   static bool CurrentThreadAttached();
 
   /// Moves `ns` already-elapsed nanoseconds from the current category into
-  /// `to`. Used where a wait was *measured* by other means (the overlap
-  /// layer's wait counters) so two accountings of the same interval agree
-  /// to the nanosecond. When the current category is already `to`, or the
+  /// `to`. Used where a wait was *measured* by other means (contended lock
+  /// acquisitions) so two accountings of the same interval agree to the
+  /// nanosecond. When the current category is already `to`, or the
   /// thread sits in a shuffle/checkpoint wait that claims its own I/O, the
   /// caller is expected to skip the call.
   static void Reattribute(TimeCategory to, uint64_t ns);

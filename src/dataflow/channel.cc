@@ -15,14 +15,12 @@ constexpr auto kAbortPollInterval = std::chrono::milliseconds(20);
 FrameChannel::FrameChannel(size_t capacity_frames, Policy policy,
                            std::string spill_path,
                            WorkerMetrics* spill_metrics,
-                           std::atomic<bool>* abort, int num_senders,
-                           OverlapRuntime* overlap)
+                           std::atomic<bool>* abort, int num_senders)
     : capacity_(capacity_frames == 0 ? 1 : capacity_frames),
       policy_(policy),
       spill_path_(std::move(spill_path)),
       spill_metrics_(spill_metrics),
       abort_(abort),
-      overlap_(overlap),
       senders_open_(num_senders) {}
 
 Status FrameChannel::Put(std::string frame) {
@@ -30,11 +28,8 @@ Status FrameChannel::Put(std::string frame) {
   PREGELIX_RETURN_NOT_OK(fault::MaybeFail("channel.send"));
   if (policy_ == Policy::kSenderMaterialize) {
     if (spill_writer_ == nullptr) {
-      PREGELIX_RETURN_NOT_OK(RunFileWriter::Open(spill_path_, spill_metrics_,
-                                                 overlap_, &spill_writer_));
-      // Spill waits are part of the connector transfer, not storage-layer
-      // I/O waits, so the ledger files them under shuffle_wait (§20).
-      spill_writer_->set_wait_category(TimeCategory::kShuffleWait);
+      PREGELIX_RETURN_NOT_OK(
+          RunFileWriter::Open(spill_path_, spill_metrics_, &spill_writer_));
     }
     ++frames_;
     return spill_writer_->AppendBlock(frame);
@@ -92,15 +87,14 @@ bool FrameChannel::Get(std::string* frame) {
     }
     if (spill_writer_ == nullptr) return false;  // nothing was sent
     if (spill_reader_ == nullptr) {
-      Status s = RunFileReader::Open(spill_path_, spill_metrics_, overlap_,
-                                     &spill_reader_);
+      Status s =
+          RunFileReader::Open(spill_path_, spill_metrics_, &spill_reader_);
       if (!s.ok()) {
         PLOG(Error) << "channel spill open failed: " << s.ToString();
         fault_status_ = std::move(s);
         if (abort_ != nullptr) abort_->store(true);
         return false;
       }
-      spill_reader_->set_wait_category(TimeCategory::kShuffleWait);
     }
     Status s = spill_reader_->NextBlock(frame);
     if (s.IsNotFound()) {

@@ -32,13 +32,9 @@ class FrameChannel {
  public:
   enum class Policy { kPipelined, kSenderMaterialize };
 
-  /// `overlap` (nullable) routes spill writes through the write-behind
-  /// queue and spill reads through the prefetch pool (DESIGN.md §19). The
-  /// channel mutex has rank kChannel=20, below the overlap ranks (22/24),
-  /// so enqueueing under the channel lock respects the lock order.
   FrameChannel(size_t capacity_frames, Policy policy, std::string spill_path,
                WorkerMetrics* spill_metrics, std::atomic<bool>* abort,
-               int num_senders, OverlapRuntime* overlap = nullptr);
+               int num_senders);
 
   FrameChannel(const FrameChannel&) = delete;
   FrameChannel& operator=(const FrameChannel&) = delete;
@@ -72,7 +68,6 @@ class FrameChannel {
   const std::string spill_path_;
   WorkerMetrics* const spill_metrics_;
   std::atomic<bool>* const abort_;
-  OverlapRuntime* const overlap_;
 
   mutable Mutex mutex_{"channel", LockRank::kChannel};
   CondVar cv_;

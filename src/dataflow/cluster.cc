@@ -23,24 +23,6 @@ SimulatedCluster::SimulatedCluster(const ClusterConfig& config)
     worker->cache->SetObservability(tracer_, registry_, w);
     workers_.push_back(std::move(worker));
   }
-  if (config_.overlap_enabled()) {
-    overlap_ = std::make_unique<OverlapRuntime>(config_.writebehind_budget_bytes);
-    for (auto& worker : workers_) {
-      worker->cache->SetOverlap(overlap_.get());
-    }
-  }
-}
-
-SimulatedCluster::~SimulatedCluster() {
-  // Members destroy in reverse declaration order, so the overlap runtime
-  // (and its pool threads) dies before the workers' caches — settle every
-  // in-flight read-ahead and detach while the pool is still alive.
-  if (overlap_ != nullptr) {
-    MutexLock lock(&workers_mutex_);
-    for (auto& worker : workers_) {
-      worker->cache->DetachOverlap();
-    }
-  }
 }
 
 std::string SimulatedCluster::partition_dir(int partition) const
@@ -76,11 +58,8 @@ void SimulatedCluster::PublishMetrics() {
         ->Set(static_cast<int64_t>(snap.disk_seeks));
     registry_->GetGauge("pregelix.worker.net_bytes", labels)
         ->Set(static_cast<int64_t>(snap.net_bytes));
-    registry_->GetGauge("pregelix.worker.overlap_io_bytes", labels)
-        ->Set(static_cast<int64_t>(snap.overlap_io_bytes));
     worker.cache->PublishMetrics(registry_);
   }
-  if (overlap_ != nullptr) overlap_->PublishMetrics(registry_);
 }
 
 Status SimulatedCluster::FailWorker(int worker) {
@@ -92,7 +71,6 @@ Status SimulatedCluster::FailWorker(int worker) {
   w.cache = std::make_unique<BufferCache>(
       config_.page_size, config_.buffer_cache_pages, w.metrics.get());
   w.cache->SetObservability(tracer_, registry_, worker);
-  if (overlap_ != nullptr) w.cache->SetOverlap(overlap_.get());
   RemoveAll(w.dir);
   if (!EnsureDir(w.dir)) {
     return Status::IoError("cannot recreate worker dir " + w.dir);

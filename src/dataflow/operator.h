@@ -16,7 +16,6 @@
 namespace pregelix {
 
 struct OperatorProfile;  // dataflow/plan_profile.h
-class OverlapRuntime;    // io/overlap.h
 
 /// Pull interface for an operator input: a stream of frames fed by a
 /// connector (plain queue or merging receiver).
@@ -56,10 +55,6 @@ struct TaskContext {
   std::string scratch_dir;          ///< partition-local scratch directory
   const ClusterConfig* config = nullptr;
   void* runtime_context = nullptr;  ///< job-defined per-cluster state
-  /// The cluster's overlap runtime (DESIGN.md §19); null when overlap is
-  /// off. Operators pass it to run files / sort spills / the vertex index
-  /// to get prefetched reads and write-behind spills.
-  OverlapRuntime* overlap = nullptr;
   /// Plan-profile slot of this (operator, partition) clone; null when the
   /// job runs unprofiled. Operators and the kernels they drive add memory
   /// high-water marks and spill volume here.

@@ -19,16 +19,11 @@ namespace {
 /// Sequential cursor over one run file.
 class RunCursor {
  public:
-  RunCursor(std::string path, int field_count, WorkerMetrics* metrics,
-            OverlapRuntime* overlap)
-      : path_(std::move(path)),
-        accessor_(field_count),
-        metrics_(metrics),
-        overlap_(overlap) {}
+  RunCursor(std::string path, int field_count, WorkerMetrics* metrics)
+      : path_(std::move(path)), accessor_(field_count), metrics_(metrics) {}
 
   Status Init() {
-    PREGELIX_RETURN_NOT_OK(
-        RunFileReader::Open(path_, metrics_, overlap_, &reader_));
+    PREGELIX_RETURN_NOT_OK(RunFileReader::Open(path_, metrics_, &reader_));
     return Advance();
   }
 
@@ -49,11 +44,6 @@ class RunCursor {
   void Discard() {
     reader_.reset();
     DeleteFileIfExists(path_);
-  }
-
-  /// Foreground ns spent blocked on prefetched refills (DESIGN.md §19).
-  uint64_t io_wait_ns() const {
-    return reader_ != nullptr ? reader_->io_wait_ns() : 0;
   }
 
  private:
@@ -81,7 +71,6 @@ class RunCursor {
   int index_ = 0;
   bool valid_ = false;
   WorkerMetrics* metrics_;
-  OverlapRuntime* overlap_;
 };
 
 /// Tournament loser tree over the run cursors, keyed on the 8-byte
@@ -241,10 +230,8 @@ namespace internal_sort {
 // RunWriter
 
 RunWriter::RunWriter(const SortConfig& config, const std::string& path)
-    : appender_(config.frame_size, config.field_count),
-      path_(path),
-      config_(&config) {
-  open_status_ = RunFileWriter::Open(path, config.metrics, config.overlap, &file_);
+    : appender_(config.frame_size, config.field_count) {
+  open_status_ = RunFileWriter::Open(path, config.metrics, &file_);
 }
 
 Status RunWriter::Append(std::span<const Slice> fields) {
@@ -267,11 +254,7 @@ Status RunWriter::Finish() {
     PREGELIX_RETURN_NOT_OK(file_->AppendBlock(block));
     appender_.Reset();
   }
-  Status s = file_->Finish();
-  if (config_->profile != nullptr) {
-    config_->profile->AddIoWait(file_->io_wait_ns());
-  }
-  return s;
+  return file_->Finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -294,7 +277,7 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
       std::vector<std::unique_ptr<RunCursor>> cursors;
       for (size_t i = start; i < end; ++i) {
         cursors.push_back(std::make_unique<RunCursor>(
-            run_paths[i], config.field_count, config.metrics, config.overlap));
+            run_paths[i], config.field_count, config.metrics));
         PREGELIX_RETURN_NOT_OK(cursors.back()->Init());
       }
       const std::string out_path = config.scratch_prefix + "-merge-" +
@@ -305,12 +288,7 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
           config.metrics,
           [&](std::span<const Slice> fields) { return writer.Append(fields); }));
       PREGELIX_RETURN_NOT_OK(writer.Finish());
-      for (auto& cursor : cursors) {
-        if (config.profile != nullptr) {
-          config.profile->AddIoWait(cursor->io_wait_ns());
-        }
-        cursor->Discard();
-      }
+      for (auto& cursor : cursors) cursor->Discard();
       next_paths.push_back(out_path);
     }
     run_paths = std::move(next_paths);
@@ -319,19 +297,13 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
   std::vector<std::unique_ptr<RunCursor>> cursors;
   for (const std::string& path : run_paths) {
     cursors.push_back(std::make_unique<RunCursor>(path, config.field_count,
-                                                  config.metrics,
-                                                  config.overlap));
+                                                  config.metrics));
     PREGELIX_RETURN_NOT_OK(cursors.back()->Init());
   }
   PREGELIX_RETURN_NOT_OK(MergeCursors(cursors, config.key_field, combiner,
                                       /*apply_finish=*/true, config.metrics,
                                       emit));
-  for (auto& cursor : cursors) {
-    if (config.profile != nullptr) {
-      config.profile->AddIoWait(cursor->io_wait_ns());
-    }
-    cursor->Discard();
-  }
+  for (auto& cursor : cursors) cursor->Discard();
   return Status::OK();
 }
 
@@ -353,6 +325,9 @@ bool EagerShipProfitable(size_t groups, size_t tuples) {
   return groups * 2 <= tuples;
 }
 
+/// Pool bytes an ExternalSortGrouper reserves when its first tuple arrives.
+constexpr size_t kInitialPoolBytes = 1u << 20;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -365,7 +340,6 @@ ExternalSortGrouper::ExternalSortGrouper(const SortConfig& config,
     PREGELIX_CHECK(config_.field_count == 2 && config_.key_field == 0)
         << "combining group-by operates on (key, payload) tuples";
   }
-  pool_.reserve(std::min<size_t>(config_.memory_budget_bytes, 1u << 20));
 }
 
 ExternalSortGrouper::~ExternalSortGrouper() {
@@ -402,6 +376,12 @@ Status ExternalSortGrouper::Add(std::span<const Slice> fields) {
     } else {
       PREGELIX_RETURN_NOT_OK(SpillBatch());
     }
+  }
+  if (pool_.empty()) {
+    // Reserved on first use, not at construction: many groupers (e.g. a
+    // superstep's resolve clones) never see a tuple. Budget accounting uses
+    // pool_.size(), so reserving here never moves a spill point.
+    pool_.reserve(std::min(config_.memory_budget_bytes, kInitialPoolBytes));
   }
   // Encode the tuple straight into the pool — no temporary string.
   const size_t offset = pool_.size();

@@ -51,13 +51,8 @@ struct SortConfig {
   int merge_fanin = 16;
   /// Plan-profile slot of the driving operator clone (null = unprofiled).
   /// The groupers record their memory high-water mark at spill/finish
-  /// boundaries, each spilled run's byte volume, and foreground ns blocked
-  /// on overlapped run-file I/O into it.
+  /// boundaries and each spilled run's byte volume into it.
   OperatorProfile* profile = nullptr;
-  /// Overlap runtime for run-file I/O (DESIGN.md §19): spills go through
-  /// the write-behind queue and merge refills are prefetched. Null means
-  /// strictly synchronous runs.
-  OverlapRuntime* overlap = nullptr;
 };
 
 /// External sort with optional early aggregation (paper Section 4
@@ -260,8 +255,6 @@ class RunWriter {
  private:
   FrameTupleAppender appender_;
   std::unique_ptr<RunFileWriter> file_;
-  std::string path_;
-  const SortConfig* config_;
   Status open_status_;
   uint64_t bytes_written_ = 0;
 };

@@ -7,172 +7,46 @@
 
 namespace pregelix {
 
-namespace {
-
-/// Reattributes the overlap-wait delta measured into `*counter` across one
-/// blocking call (DESIGN.md §20). The wait interval was already spent in the
-/// caller's current ledger category; moving exactly the measured nanoseconds
-/// keeps the ledger's wait bucket equal to the profiled io_wait_ns.
-class WaitReattribution {
- public:
-  WaitReattribution(const uint64_t* counter, TimeCategory to)
-      : counter_(counter), before_(*counter), to_(to) {}
-  ~WaitReattribution() {
-    const uint64_t delta = *counter_ - before_;
-    if (delta > 0) TimeLedger::Reattribute(to_, delta);
-  }
-
- private:
-  const uint64_t* counter_;
-  const uint64_t before_;
-  const TimeCategory to_;
-};
-
-}  // namespace
-
 Status RunFileWriter::Open(const std::string& path, WorkerMetrics* metrics,
-                           OverlapRuntime* overlap,
                            std::unique_ptr<RunFileWriter>* out) {
   std::unique_ptr<WritableFile> file;
   PREGELIX_RETURN_NOT_OK(WritableFile::Open(path, metrics, &file));
-  out->reset(new RunFileWriter(std::move(file), metrics, overlap));
+  out->reset(new RunFileWriter(std::move(file)));
   return Status::OK();
-}
-
-RunFileWriter::~RunFileWriter() {
-  if (overlap_ != nullptr && !finished_) {
-    // Abandoned writer (error unwind): the queued jobs still reference our
-    // file, so wait them out before the file handle dies.
-    (void)overlap_->writebehind().WaitTicket(&ticket_);
-  }
 }
 
 Status RunFileWriter::AppendBlock(const Slice& block) {
   PREGELIX_RETURN_NOT_OK(fault::MaybeFail("io.run_file.append"));
   char header[4];
   EncodeFixed32(header, static_cast<uint32_t>(block.size()));
-  if (overlap_ == nullptr) {
-    PREGELIX_RETURN_NOT_OK(file_->Append(Slice(header, 4)));
-    PREGELIX_RETURN_NOT_OK(file_->Append(block));
-  } else {
-    // Async write-behind: hand the framed block to the background worker.
-    // Errors (including the io.writebehind.flush fault point, torn-write
-    // capable) latch into the ticket and surface at Finish, the way a
-    // synchronous writer's error would surface to its caller.
-    std::string buf;
-    buf.reserve(4 + block.size());
-    buf.append(header, 4);
-    buf.append(block.data(), block.size());
-    const size_t bytes = buf.size();
-    WritableFile* file = file_.get();
-    WorkerMetrics* metrics = metrics_;
-    WaitReattribution reattr(&io_wait_ns_, wait_category_);
-    overlap_->writebehind().Enqueue(
-        &ticket_, bytes,
-        [file, metrics, buf = std::move(buf)]() -> Status {
-          size_t len = buf.size();
-          Status injected = fault::MaybeFailWrite("io.writebehind.flush", &len);
-          if (!injected.ok()) {
-            if (len > 0) {
-              // Torn write: the prefix reaches the file before the error.
-              (void)file->Append(Slice(buf.data(), len));
-            }
-            return injected;
-          }
-          PREGELIX_RETURN_NOT_OK(file->Append(Slice(buf)));
-          if (metrics != nullptr) metrics->AddOverlapIo(buf.size());
-          return Status::OK();
-        },
-        &io_wait_ns_);
-  }
+  PREGELIX_RETURN_NOT_OK(file_->Append(Slice(header, 4)));
+  PREGELIX_RETURN_NOT_OK(file_->Append(block));
   ++num_blocks_;
   bytes_appended_ += 4 + block.size();
   return Status::OK();
 }
 
-Status RunFileWriter::Finish() {
-  finished_ = true;
-  if (overlap_ != nullptr) {
-    // Per-file drain barrier: every queued block is on disk (or failed)
-    // before Close — commit points that size/checksum/rename this file
-    // (checkpoint snapshots, channel spills) stay exact.
-    WaitReattribution reattr(&io_wait_ns_, wait_category_);
-    PREGELIX_RETURN_NOT_OK(
-        overlap_->writebehind().WaitTicket(&ticket_, &io_wait_ns_));
-  }
-  return file_->Close();
-}
+Status RunFileWriter::Finish() { return file_->Close(); }
 
 Status RunFileReader::Open(const std::string& path, WorkerMetrics* metrics,
-                           OverlapRuntime* overlap,
                            std::unique_ptr<RunFileReader>* out) {
   std::unique_ptr<RandomAccessFile> file;
   PREGELIX_RETURN_NOT_OK(RandomAccessFile::Open(path, metrics, &file));
-  out->reset(new RunFileReader(std::move(file), metrics, overlap));
+  out->reset(new RunFileReader(std::move(file)));
   return Status::OK();
-}
-
-RunFileReader::~RunFileReader() { CancelPrefetch(); }
-
-void RunFileReader::Reset() {
-  CancelPrefetch();
-  offset_ = 0;
-}
-
-Status RunFileReader::ReadBlockAt(uint64_t offset, std::string* out,
-                                  uint64_t* next_offset) {
-  char header[4];
-  PREGELIX_RETURN_NOT_OK(file_->Read(offset, 4, header));
-  const uint32_t len = DecodeFixed32(header);
-  out->resize(len);
-  if (len > 0) {
-    PREGELIX_RETURN_NOT_OK(file_->Read(offset + 4, len, out->data()));
-  }
-  *next_offset = offset + 4 + len;
-  return Status::OK();
-}
-
-void RunFileReader::IssuePrefetch() {
-  const uint64_t offset = offset_;
-  overlap_->prefetch().Schedule(&slot_, [this, offset]() -> Status {
-    PREGELIX_RETURN_NOT_OK(fault::MaybeFail("io.prefetch.read"));
-    PREGELIX_RETURN_NOT_OK(ReadBlockAt(offset, &ahead_, &ahead_next_));
-    if (metrics_ != nullptr) metrics_->AddOverlapIo(ahead_next_ - offset);
-    return Status::OK();
-  });
-  ahead_valid_ = true;
-  issued_offset_ = offset;
-}
-
-void RunFileReader::CancelPrefetch() {
-  if (!ahead_valid_) return;
-  overlap_->prefetch().Cancel(&slot_);
-  ahead_valid_ = false;
 }
 
 Status RunFileReader::NextBlock(std::string* out) {
-  if (AtEnd()) {
-    CancelPrefetch();  // Reset() mid-stream can leave a stale read-ahead
-    return Status::NotFound("eof");
-  }
+  if (AtEnd()) return Status::NotFound("eof");
   PREGELIX_RETURN_NOT_OK(fault::MaybeFail("io.run_file.read"));
-  if (overlap_ == nullptr) {
-    return ReadBlockAt(offset_, out, &offset_);
+  char header[4];
+  PREGELIX_RETURN_NOT_OK(file_->Read(offset_, 4, header));
+  const uint32_t len = DecodeFixed32(header);
+  out->resize(len);
+  if (len > 0) {
+    PREGELIX_RETURN_NOT_OK(file_->Read(offset_ + 4, len, out->data()));
   }
-  if (!ahead_valid_ || issued_offset_ != offset_) {
-    CancelPrefetch();  // stale (e.g. after Reset): re-issue at offset_
-    IssuePrefetch();
-  }
-  Status s;
-  {
-    WaitReattribution reattr(&io_wait_ns_, wait_category_);
-    s = overlap_->prefetch().Await(&slot_, &io_wait_ns_);
-  }
-  ahead_valid_ = false;
-  PREGELIX_RETURN_NOT_OK(s);
-  out->swap(ahead_);
-  offset_ = ahead_next_;
-  if (!AtEnd()) IssuePrefetch();  // read ahead while the caller consumes
+  offset_ += 4 + len;
   return Status::OK();
 }
 

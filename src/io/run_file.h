@@ -8,9 +8,7 @@
 #include "common/metrics.h"
 #include "common/slice.h"
 #include "common/status.h"
-#include "common/time_ledger.h"
 #include "io/file.h"
-#include "io/overlap.h"
 
 namespace pregelix {
 
@@ -18,25 +16,12 @@ namespace pregelix {
 ///
 /// Run files back everything that is "temporary local data" in the paper:
 /// sort runs, the per-partition Msg relation, and sender-side materialized
-/// connector channels. Blocks are typically whole frames.
-///
-/// With an OverlapRuntime attached (DESIGN.md §19) the writer appends
-/// through the async write-behind queue — AppendBlock hands the block to a
-/// background thread and returns; Finish() is the per-file drain barrier
-/// that waits for every queued block and surfaces the first error — and the
-/// reader double-buffers: each NextBlock returns the block read ahead in
-/// the background and schedules the next one. Null OverlapRuntime* means
-/// strictly synchronous I/O; on-disk bytes are identical either way.
+/// connector channels. Blocks are typically whole frames. All I/O is
+/// synchronous (DESIGN.md §19 records why).
 class RunFileWriter {
  public:
   static Status Open(const std::string& path, WorkerMetrics* metrics,
-                     std::unique_ptr<RunFileWriter>* out) {
-    return Open(path, metrics, /*overlap=*/nullptr, out);
-  }
-  static Status Open(const std::string& path, WorkerMetrics* metrics,
-                     OverlapRuntime* overlap,
                      std::unique_ptr<RunFileWriter>* out);
-  ~RunFileWriter();
 
   Status AppendBlock(const Slice& block);
   Status Finish();
@@ -45,88 +30,35 @@ class RunFileWriter {
   uint64_t bytes_written() const { return bytes_appended_; }
   const std::string& path() const { return file_->path(); }
 
-  /// Foreground ns this writer spent blocked on the write-behind queue
-  /// (budget stalls + the Finish drain). 0 in synchronous mode.
-  uint64_t io_wait_ns() const { return io_wait_ns_; }
-
-  /// Time-ledger category the measured overlap waits are reattributed to
-  /// (DESIGN.md §20). Default io_wait, which keeps the ledger bucket equal
-  /// to io_wait_ns(); channel spills set shuffle_wait because the park is
-  /// part of the connector transfer, not a storage-layer wait.
-  void set_wait_category(TimeCategory c) { wait_category_ = c; }
-
  private:
-  RunFileWriter(std::unique_ptr<WritableFile> file, WorkerMetrics* metrics,
-                OverlapRuntime* overlap)
-      : file_(std::move(file)), metrics_(metrics), overlap_(overlap) {}
+  explicit RunFileWriter(std::unique_ptr<WritableFile> file)
+      : file_(std::move(file)) {}
 
   std::unique_ptr<WritableFile> file_;
-  WorkerMetrics* metrics_;
-  OverlapRuntime* overlap_;
-  WriteBehindQueue::Ticket ticket_;
-  bool finished_ = false;
   uint64_t num_blocks_ = 0;
   uint64_t bytes_appended_ = 0;
-  uint64_t io_wait_ns_ = 0;
-  TimeCategory wait_category_ = TimeCategory::kIoWait;
 };
 
 /// Sequential reader over a run file.
 class RunFileReader {
  public:
   static Status Open(const std::string& path, WorkerMetrics* metrics,
-                     std::unique_ptr<RunFileReader>* out) {
-    return Open(path, metrics, /*overlap=*/nullptr, out);
-  }
-  static Status Open(const std::string& path, WorkerMetrics* metrics,
-                     OverlapRuntime* overlap,
                      std::unique_ptr<RunFileReader>* out);
-  ~RunFileReader();
 
   /// Reads the next block into *out (resized). Returns NotFound at EOF.
   Status NextBlock(std::string* out);
 
-  /// Restarts from the beginning (abandoning any read-ahead).
-  void Reset();
+  /// Restarts from the beginning.
+  void Reset() { offset_ = 0; }
 
   bool AtEnd() const { return offset_ >= file_->size(); }
 
-  /// Foreground ns this reader spent blocked waiting for a prefetched
-  /// block. 0 in synchronous mode.
-  uint64_t io_wait_ns() const { return io_wait_ns_; }
-
-  /// See RunFileWriter::set_wait_category.
-  void set_wait_category(TimeCategory c) { wait_category_ = c; }
-
  private:
-  RunFileReader(std::unique_ptr<RandomAccessFile> file, WorkerMetrics* metrics,
-                OverlapRuntime* overlap)
-      : file_(std::move(file)), metrics_(metrics), overlap_(overlap) {}
-
-  /// Reads the length-prefixed block at `offset` into `*out` and sets
-  /// `*next_offset` past it. Runs on the prefetch worker (or inline when
-  /// synchronous).
-  Status ReadBlockAt(uint64_t offset, std::string* out,
-                     uint64_t* next_offset);
-  /// Queues the read-ahead of the block at offset_.
-  void IssuePrefetch();
-  /// Abandons an outstanding read-ahead (Reset / destruction).
-  void CancelPrefetch();
+  explicit RunFileReader(std::unique_ptr<RandomAccessFile> file)
+      : file_(std::move(file)) {}
 
   std::unique_ptr<RandomAccessFile> file_;
-  WorkerMetrics* metrics_;
-  OverlapRuntime* overlap_;
   uint64_t offset_ = 0;
-
-  // Double-buffer state. The foreground owns ahead_valid_/issued_offset_;
-  // the prefetch worker writes ahead_/ahead_next_, published by Await.
-  PrefetchPool::Slot slot_;
-  bool ahead_valid_ = false;
-  uint64_t issued_offset_ = 0;
-  std::string ahead_;
-  uint64_t ahead_next_ = 0;
-  uint64_t io_wait_ns_ = 0;
-  TimeCategory wait_category_ = TimeCategory::kIoWait;
 };
 
 }  // namespace pregelix

@@ -47,8 +47,7 @@ Status MakeVertexIndex(JobRuntimeContext* ctx, int p,
     std::unique_ptr<LsmBTree> lsm;
     // The in-memory component budget follows the group-by budget scale.
     PREGELIX_RETURN_NOT_OK(LsmBTree::Open(
-        &cache, lsm_dir, ctx->cluster->config().groupby_memory_bytes,
-        ctx->cluster->overlap(), &lsm));
+        &cache, lsm_dir, ctx->cluster->config().groupby_memory_bytes, &lsm));
     *out = std::move(lsm);
   }
   return Status::OK();
@@ -77,21 +76,19 @@ SortConfig MakeSortConfig(JobRuntimeContext* ctx, TaskContext& task,
   config.tracer = task.tracer;
   config.worker = task.worker;
   config.profile = task.profile;
-  config.overlap = task.overlap;
   return config;
 }
 
 /// Eager shuffle-driven group-by gate (DESIGN.md §19). The send-side
 /// grouper may stream partial groups into the shuffle as they form only
-/// when (a) the overlap runtime exists, (b) the connector is the pipelined
-/// unmerged one — the merging connector's receiver requires fully sorted,
-/// finished sender runs — and (c) the combiner has no final transform:
+/// when (a) the connector is the pipelined unmerged one — the merging
+/// connector's receiver requires fully sorted, finished sender runs — and
+/// (b) the combiner has no final transform:
 /// non-eager plans apply `finish` at the sender and the receiver re-applies
 /// it to the re-combined groups, which is only byte-identical when finish
 /// is absent (both shipped combiners are pure accumulators).
 bool EagerShuffleEnabled(const JobRuntimeContext* ctx) {
-  return ctx->cluster->overlap() != nullptr &&
-         ctx->current_connector == GroupByConnector::kUnmerged &&
+  return ctx->current_connector == GroupByConnector::kUnmerged &&
          !ctx->program->MsgCombiner().finish;
 }
 
@@ -253,7 +250,7 @@ class ComputeDriver {
         agg_hooks_(ctx->program->GlobalAggregator()),
         pending_(ctx->PartitionDir(task.partition) + "/pending-" +
                      std::to_string(ctx->current_superstep),
-                 task.config->frame_size, 2, task.metrics, task.overlap) {
+                 task.config->frame_size, 2, task.metrics) {
     contribution_.aggregate = agg_hooks_.initial;
     contribution_.has_aggregate = agg_hooks_.valid();
     const GroupCombiner combiner = ctx->program->MsgCombiner();
@@ -367,17 +364,12 @@ class ComputeDriver {
     // has completed.
     if (pending_any_) {
       PREGELIX_RETURN_NOT_OK(pending_.Finish());
-      TupleRunReader reader(pending_.path(), 2, task_.metrics,
-                            task_.overlap);
+      TupleRunReader reader(pending_.path(), 2, task_.metrics);
       PREGELIX_RETURN_NOT_OK(reader.Init());
       while (reader.Valid()) {
         PREGELIX_RETURN_NOT_OK(
             state_.vertex_index->Upsert(reader.field(0), reader.field(1)));
         PREGELIX_RETURN_NOT_OK(reader.Next());
-      }
-      if (task_.profile != nullptr) {
-        task_.profile->AddIoWait(pending_.io_wait_ns() +
-                                 reader.io_wait_ns());
       }
       DeleteFileIfExists(pending_.path());
     }
@@ -444,7 +436,7 @@ Status RunComputeFullOuter(JobRuntimeContext* ctx, TaskContext& task) {
   ComputeDriver driver(ctx, task);
   PREGELIX_RETURN_NOT_OK(driver.Init());
 
-  TupleRunReader msg(state.msg_path, 2, task.metrics, task.overlap);
+  TupleRunReader msg(state.msg_path, 2, task.metrics);
   PREGELIX_RETURN_NOT_OK(msg.Init());
   std::unique_ptr<IndexIterator> vertex = state.vertex_index->NewIterator();
   PREGELIX_RETURN_NOT_OK(vertex->SeekToFirst());
@@ -485,7 +477,6 @@ Status RunComputeFullOuter(JobRuntimeContext* ctx, TaskContext& task) {
       PREGELIX_RETURN_NOT_OK(vertex->Next());
     }
   }
-  if (task.profile != nullptr) task.profile->AddIoWait(msg.io_wait_ns());
   return driver.Finish();
 }
 
@@ -497,14 +488,14 @@ Status RunComputeLeftOuter(JobRuntimeContext* ctx, TaskContext& task) {
   ComputeDriver driver(ctx, task);
   PREGELIX_RETURN_NOT_OK(driver.Init());
 
-  TupleRunReader msg(state.msg_path, 2, task.metrics, task.overlap);
+  TupleRunReader msg(state.msg_path, 2, task.metrics);
   PREGELIX_RETURN_NOT_OK(msg.Init());
   std::unique_ptr<IndexIterator> vid_it;
   if (state.vid_index != nullptr) {
     vid_it = state.vid_index->NewIterator();
     PREGELIX_RETURN_NOT_OK(vid_it->SeekToFirst());
   }
-  TupleRunReader extra(state.vid_extra_path, 2, task.metrics, task.overlap);
+  TupleRunReader extra(state.vid_extra_path, 2, task.metrics);
   PREGELIX_RETURN_NOT_OK(extra.Init());
 
   std::string probe_value;
@@ -558,9 +549,6 @@ Status RunComputeLeftOuter(JobRuntimeContext* ctx, TaskContext& task) {
       PREGELIX_RETURN_NOT_OK(msg.Next());
     }
   }
-  if (task.profile != nullptr) {
-    task.profile->AddIoWait(msg.io_wait_ns() + extra.io_wait_ns());
-  }
   return driver.Finish();
 }
 
@@ -573,8 +561,7 @@ Status RunCombineOp(JobRuntimeContext* ctx, TaskContext& task) {
   const std::string path =
       ctx->PartitionDir(p) + "/msg-" +
       std::to_string(ctx->current_superstep + 1);
-  TupleRunWriter writer(path, task.config->frame_size, 2, task.metrics,
-                        task.overlap);
+  TupleRunWriter writer(path, task.config->frame_size, 2, task.metrics);
   uint64_t payload_bytes = 0;
   auto emit = [&](std::span<const Slice> fields) {
     payload_bytes += fields[1].size();
@@ -619,7 +606,6 @@ Status RunCombineOp(JobRuntimeContext* ctx, TaskContext& task) {
     PREGELIX_RETURN_NOT_OK(grouper.Finish(emit));
   }
   PREGELIX_RETURN_NOT_OK(writer.Finish());
-  if (task.profile != nullptr) task.profile->AddIoWait(writer.io_wait_ns());
   state.next_msg_path = path;
   state.next_msg_count = writer.count();
   state.next_msg_bytes = payload_bytes;
@@ -700,7 +686,7 @@ Status RunResolveOp(JobRuntimeContext* ctx, TaskContext& task) {
         ctx->PartitionDir(p) + "/vidextra-" +
         std::to_string(ctx->current_superstep + 1);
     extra_writer = std::make_unique<TupleRunWriter>(
-        path, task.config->frame_size, 2, task.metrics, task.overlap);
+        path, task.config->frame_size, 2, task.metrics);
   }
   std::vector<MutationRecord> mutations;
   std::string vertex_bytes;
@@ -747,9 +733,6 @@ Status RunResolveOp(JobRuntimeContext* ctx, TaskContext& task) {
       }));
   if (extra_writer != nullptr) {
     PREGELIX_RETURN_NOT_OK(extra_writer->Finish());
-    if (task.profile != nullptr) {
-      task.profile->AddIoWait(extra_writer->io_wait_ns());
-    }
     state.next_vid_extra_path = extra_writer->path();
   }
   return Status::OK();
@@ -810,12 +793,10 @@ Status RunCheckpointOp(JobRuntimeContext* ctx, TaskContext& task,
   const std::string suffix = "-part-" + std::to_string(task.partition);
   state.ckpt_files.clear();
 
-  // Vertex snapshot. Snapshot writers go through the write-behind queue;
-  // Finish() drains the file's ticket before CommitSnapshotFile sizes and
-  // checksums it, so the commit protocol sees fully-written bytes.
+  // Vertex snapshot.
   TupleRunWriter vertex_writer(
       ctx->dfs->Resolve(dir + "/vertex" + suffix) + ".tmp",
-      task.config->frame_size, 2, task.metrics, task.overlap);
+      task.config->frame_size, 2, task.metrics);
   std::unique_ptr<IndexIterator> it = state.vertex_index->NewIterator();
   PREGELIX_RETURN_NOT_OK(it->SeekToFirst());
   while (it->Valid()) {
@@ -824,18 +805,14 @@ Status RunCheckpointOp(JobRuntimeContext* ctx, TaskContext& task,
     PREGELIX_RETURN_NOT_OK(it->Next());
   }
   PREGELIX_RETURN_NOT_OK(vertex_writer.Finish());
-  if (task.profile != nullptr) {
-    task.profile->AddIoWait(vertex_writer.io_wait_ns());
-  }
   PREGELIX_RETURN_NOT_OK(
       CommitSnapshotFile(ctx, dir, "vertex" + suffix, &state));
 
   // Msg snapshot (the checkpoint of Msg means user programs need not be
   // failure-aware, paper Section 5.5).
   TupleRunWriter msg_writer(ctx->dfs->Resolve(dir + "/msg" + suffix) + ".tmp",
-                            task.config->frame_size, 2, task.metrics,
-                            task.overlap);
-  TupleRunReader msg(state.msg_path, 2, task.metrics, task.overlap);
+                            task.config->frame_size, 2, task.metrics);
+  TupleRunReader msg(state.msg_path, 2, task.metrics);
   PREGELIX_RETURN_NOT_OK(msg.Init());
   while (msg.Valid()) {
     const Slice fields[2] = {msg.field(0), msg.field(1)};
@@ -843,23 +820,19 @@ Status RunCheckpointOp(JobRuntimeContext* ctx, TaskContext& task,
     PREGELIX_RETURN_NOT_OK(msg.Next());
   }
   PREGELIX_RETURN_NOT_OK(msg_writer.Finish());
-  if (task.profile != nullptr) {
-    task.profile->AddIoWait(msg_writer.io_wait_ns() + msg.io_wait_ns());
-  }
   PREGELIX_RETURN_NOT_OK(CommitSnapshotFile(ctx, dir, "msg" + suffix, &state));
 
   // Vid snapshot (left-outer plan): live set merged with resolve extras.
   if (ctx->MaintainsVid()) {
     TupleRunWriter vid_writer(
         ctx->dfs->Resolve(dir + "/vid" + suffix) + ".tmp",
-        task.config->frame_size, 2, task.metrics, task.overlap);
+        task.config->frame_size, 2, task.metrics);
     std::unique_ptr<IndexIterator> vid_it;
     if (state.vid_index != nullptr) {
       vid_it = state.vid_index->NewIterator();
       PREGELIX_RETURN_NOT_OK(vid_it->SeekToFirst());
     }
-    TupleRunReader extra(state.vid_extra_path, 2, task.metrics,
-                         task.overlap);
+    TupleRunReader extra(state.vid_extra_path, 2, task.metrics);
     PREGELIX_RETURN_NOT_OK(extra.Init());
     while ((vid_it != nullptr && vid_it->Valid()) || extra.Valid()) {
       Slice key;
@@ -880,9 +853,6 @@ Status RunCheckpointOp(JobRuntimeContext* ctx, TaskContext& task,
       }
     }
     PREGELIX_RETURN_NOT_OK(vid_writer.Finish());
-    if (task.profile != nullptr) {
-      task.profile->AddIoWait(vid_writer.io_wait_ns() + extra.io_wait_ns());
-    }
     PREGELIX_RETURN_NOT_OK(
         CommitSnapshotFile(ctx, dir, "vid" + suffix, &state));
   }
@@ -907,16 +877,13 @@ Status RunRecoveryOp(JobRuntimeContext* ctx, TaskContext& task,
   int64_t vertices = 0, edges = 0;
   {
     TupleRunReader reader(ctx->dfs->Resolve(dir + "/vertex" + suffix), 2,
-                          task.metrics, task.overlap);
+                          task.metrics);
     PREGELIX_RETURN_NOT_OK(reader.Init());
     while (reader.Valid()) {
       PREGELIX_RETURN_NOT_OK(loader->Add(reader.field(0), reader.field(1)));
       ++vertices;
       edges += VertexEdgeCount(reader.field(1));
       PREGELIX_RETURN_NOT_OK(reader.Next());
-    }
-    if (task.profile != nullptr) {
-      task.profile->AddIoWait(reader.io_wait_ns());
     }
   }
   PREGELIX_RETURN_NOT_OK(loader->Finish());
@@ -929,9 +896,9 @@ Status RunRecoveryOp(JobRuntimeContext* ctx, TaskContext& task,
   {
     PREGELIX_CHECK(EnsureDir(ctx->PartitionDir(p)));
     TupleRunWriter writer(msg_path, task.config->frame_size, 2,
-                          task.metrics, task.overlap);
+                          task.metrics);
     TupleRunReader reader(ctx->dfs->Resolve(dir + "/msg" + suffix), 2,
-                          task.metrics, task.overlap);
+                          task.metrics);
     PREGELIX_RETURN_NOT_OK(reader.Init());
     while (reader.Valid()) {
       const Slice fields[2] = {reader.field(0), reader.field(1)};
@@ -939,9 +906,6 @@ Status RunRecoveryOp(JobRuntimeContext* ctx, TaskContext& task,
       PREGELIX_RETURN_NOT_OK(reader.Next());
     }
     PREGELIX_RETURN_NOT_OK(writer.Finish());
-    if (task.profile != nullptr) {
-      task.profile->AddIoWait(writer.io_wait_ns() + reader.io_wait_ns());
-    }
   }
   state.msg_path = msg_path;
   state.next_msg_path.clear();
@@ -957,16 +921,13 @@ Status RunRecoveryOp(JobRuntimeContext* ctx, TaskContext& task,
     std::unique_ptr<IndexBulkLoader> vid_loader =
         state.vid_index->NewBulkLoader();
     TupleRunReader reader(ctx->dfs->Resolve(dir + "/vid" + suffix), 2,
-                          task.metrics, task.overlap);
+                          task.metrics);
     PREGELIX_RETURN_NOT_OK(reader.Init());
     while (reader.Valid()) {
       PREGELIX_RETURN_NOT_OK(vid_loader->Add(reader.field(0), Slice()));
       PREGELIX_RETURN_NOT_OK(reader.Next());
     }
     PREGELIX_RETURN_NOT_OK(vid_loader->Finish());
-    if (task.profile != nullptr) {
-      task.profile->AddIoWait(reader.io_wait_ns());
-    }
   } else {
     state.vid_index.reset();
   }

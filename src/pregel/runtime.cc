@@ -573,13 +573,6 @@ Status PregelixRuntime::WriteCheckpoint(JobRuntimeContext* ctx,
                     std::to_string(f.checksum) + "\n";
       }
     }
-    // Belt-and-suspenders drain (DESIGN.md §19): every snapshot writer
-    // already waited its own ticket in Finish(), but the MANIFEST is the
-    // checkpoint's commit point, so nothing may still sit in the
-    // write-behind queue when it lands.
-    if (cluster_->overlap() != nullptr) {
-      cluster_->overlap()->writebehind().Drain("checkpoint.manifest");
-    }
     PREGELIX_RETURN_NOT_OK(fault::MaybeFail("pregel.checkpoint.manifest"));
     return dfs_->Write(dir + "/MANIFEST", manifest);
   });

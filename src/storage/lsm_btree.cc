@@ -33,17 +33,10 @@ LsmBTree::~LsmBTree() {
 Status LsmBTree::Open(BufferCache* cache, const std::string& dir,
                       size_t memtable_budget_bytes,
                       std::unique_ptr<LsmBTree>* out) {
-  return Open(cache, dir, memtable_budget_bytes, /*overlap=*/nullptr, out);
-}
-
-Status LsmBTree::Open(BufferCache* cache, const std::string& dir,
-                      size_t memtable_budget_bytes, OverlapRuntime* overlap,
-                      std::unique_ptr<LsmBTree>* out) {
   if (!EnsureDir(dir)) {
     return Status::IoError("cannot create lsm dir " + dir);
   }
   std::unique_ptr<LsmBTree> lsm(new LsmBTree(cache, dir, memtable_budget_bytes));
-  lsm->overlap_ = overlap;
   if (cache->registry() != nullptr) {
     const MetricLabels labels{{"worker", std::to_string(cache->worker_id())},
                               {"storage_tier", "lsm"}};
@@ -174,9 +167,6 @@ Status LsmBTree::Get(const Slice& key, std::string* value) {
 }
 
 Status LsmBTree::FlushMemtable() {
-  // At most one deferred flush in flight; completing the previous one first
-  // keeps the CURRENT commit order identical to the sync path.
-  PREGELIX_RETURN_NOT_OK(CompletePendingFlush());
   if (memtable_.empty()) return Status::OK();
   TraceSpan span(cache_->tracer(), "lsm.flush_memtable", trace_cat::kStorage,
                  cache_->worker_id());
@@ -186,39 +176,11 @@ Status LsmBTree::FlushMemtable() {
   std::unique_ptr<BTree> component;
   PREGELIX_RETURN_NOT_OK(BTree::Open(cache_, ComponentPath(id), &component));
   std::unique_ptr<IndexBulkLoader> loader = component->NewBulkLoader();
-  uint64_t entry_bytes = 0;
   for (const auto& [key, stored] : memtable_) {
-    entry_bytes += key.size() + stored.size();
     PREGELIX_RETURN_NOT_OK(loader->Add(key, stored));
   }
   PREGELIX_RETURN_NOT_OK(fault::MaybeFail("lsm.flush"));
   PREGELIX_RETURN_NOT_OK(loader->Finish());
-  if (overlap_ != nullptr) {
-    // Deferred durability (DESIGN.md §19): the component is readable through
-    // the cache right away, so it joins the stack now; its dirty pages are
-    // flushed on the write-behind thread and CURRENT commits when
-    // CompletePendingFlush resolves the ticket. Entries are parked for
-    // rollback — on failure they rejoin the memtable (newer writes win).
-    BTree* raw = component.get();
-    components_.insert(components_.begin(), std::move(component));
-    component_ids_.insert(component_ids_.begin(), id);
-    pending_mem_ = std::move(memtable_);
-    memtable_.clear();
-    memtable_bytes_ = 0;
-    flush_pending_ = true;
-    WorkerMetrics* metrics = cache_->metrics();
-    overlap_->writebehind().Enqueue(
-        &pending_ticket_, entry_bytes, [raw, metrics, entry_bytes]() {
-          PREGELIX_RETURN_NOT_OK(fault::MaybeFail("io.writebehind.flush"));
-          PREGELIX_RETURN_NOT_OK(raw->Flush());
-          if (metrics != nullptr) metrics->AddOverlapIo(entry_bytes);
-          return Status::OK();
-        });
-    if (static_cast<int>(components_.size()) > kMaxComponents) {
-      PREGELIX_RETURN_NOT_OK(MergeAll());
-    }
-    return Status::OK();
-  }
   // Make the component durable before committing it: CURRENT must never
   // reference pages still sitting dirty in the cache. On any failure before
   // the commit the memtable stays intact (a retry re-flushes everything)
@@ -242,44 +204,13 @@ Status LsmBTree::FlushMemtable() {
   return Status::OK();
 }
 
-Status LsmBTree::CompletePendingFlush() {
-  if (!flush_pending_) return Status::OK();
-  flush_pending_ = false;
-  Status flushed = overlap_->writebehind().WaitTicket(&pending_ticket_);
-  Status commit =
-      flushed.ok() ? WriteCurrent("lsm.flush.commit") : std::move(flushed);
-  if (!commit.ok()) {
-    // Drop the uncommitted component and return its entries to the
-    // memtable; entries written since the flush started are newer and win.
-    // The half-flushed file is an orphan reopen sweeps.
-    Status d = components_.front()->Destroy();
-    (void)d;
-    components_.erase(components_.begin());
-    component_ids_.erase(component_ids_.begin());
-    for (auto& [key, stored] : pending_mem_) {
-      auto [it, inserted] = memtable_.emplace(key, std::move(stored));
-      if (inserted) {
-        memtable_bytes_ += it->first.size() + it->second.size() + 64;
-      }
-    }
-    pending_mem_.clear();
-    return commit;
-  }
-  pending_mem_.clear();
-  return Status::OK();
-}
-
 Status LsmBTree::MergeAll() {
   // A full merge includes the in-memory component, so tombstones can be
   // dropped and the entry count becomes exact afterwards. (FlushMemtable
   // re-enters MergeAll only when the stack is deep; by then the memtable is
   // empty, so the recursion terminates immediately.)
-  PREGELIX_RETURN_NOT_OK(CompletePendingFlush());
   if (!memtable_.empty()) {
-    const size_t saved = components_.size();
-    (void)saved;
     PREGELIX_RETURN_NOT_OK(FlushMemtable());
-    PREGELIX_RETURN_NOT_OK(CompletePendingFlush());
   }
   if (components_.size() <= 1) {
     tombstones_ = 0;
@@ -375,7 +306,6 @@ uint64_t LsmBTree::num_entries() const {
 
 Status LsmBTree::Flush() {
   PREGELIX_RETURN_NOT_OK(FlushMemtable());
-  PREGELIX_RETURN_NOT_OK(CompletePendingFlush());
   for (auto& component : components_) {
     PREGELIX_RETURN_NOT_OK(component->Flush());
   }
@@ -384,12 +314,6 @@ Status LsmBTree::Flush() {
 
 Status LsmBTree::Destroy() {
   destroyed_ = true;
-  if (flush_pending_) {
-    flush_pending_ = false;
-    Status s = overlap_->writebehind().WaitTicket(&pending_ticket_);
-    (void)s;  // everything is being deleted anyway
-    pending_mem_.clear();
-  }
   Status result;
   for (auto& component : components_) {
     Status s = component->Destroy();
@@ -520,10 +444,6 @@ class LsmBulkLoader : public IndexBulkLoader {
   }
 
   Status Finish() override {
-    // A pending deferred flush must commit first: this WriteCurrent lists
-    // every component id, and CURRENT must never reference a component
-    // whose pages are not yet durable.
-    PREGELIX_RETURN_NOT_OK(lsm_->CompletePendingFlush());
     PREGELIX_RETURN_NOT_OK(inner_->Finish());
     PREGELIX_RETURN_NOT_OK(component_->Flush());
     lsm_->components_.insert(lsm_->components_.begin(), std::move(component_));

@@ -9,7 +9,6 @@
 #include "buffer/buffer_cache.h"
 #include "common/slice.h"
 #include "common/status.h"
-#include "io/overlap.h"
 #include "storage/btree.h"
 #include "storage/index.h"
 
@@ -31,15 +30,6 @@ class LsmBTree : public OrderedIndex {
   /// heap bytes against the same budget).
   static Status Open(BufferCache* cache, const std::string& dir,
                      size_t memtable_budget_bytes,
-                     std::unique_ptr<LsmBTree>* out);
-  /// Overlap-aware variant (DESIGN.md §19): with a non-null `overlap`, a
-  /// memtable flush builds the new component foreground (it is immediately
-  /// readable through the cache) but defers the durability flush to the
-  /// write-behind queue; the CURRENT commit happens when the next flush,
-  /// merge, Flush(), Destroy(), or close completes the pending ticket. At
-  /// most one flush is in flight, so commit order matches the sync path.
-  static Status Open(BufferCache* cache, const std::string& dir,
-                     size_t memtable_budget_bytes, OverlapRuntime* overlap,
                      std::unique_ptr<LsmBTree>* out);
   ~LsmBTree() override;
 
@@ -80,12 +70,6 @@ class LsmBTree : public OrderedIndex {
   Status Write(const Slice& key, const Slice& value, bool tombstone);
   std::string ComponentPath(uint64_t id) const;
 
-  /// Waits for the in-flight deferred flush (if any) and commits it to
-  /// CURRENT; on failure the uncommitted component is dropped and its
-  /// entries return to the memtable (entries written since stay newer and
-  /// win). No-op in sync mode.
-  Status CompletePendingFlush();
-
   /// Atomically rewrites the CURRENT manifest to list `component_ids_`
   /// (newest first). This is the commit point of flush/merge/bulk-load: a
   /// component not listed in CURRENT does not exist after reopen.
@@ -110,15 +94,6 @@ class LsmBTree : public OrderedIndex {
   uint64_t next_component_id_ = 0;
   uint64_t tombstones_ = 0;
   bool destroyed_ = false;
-
-  // Deferred-flush state (null overlap_ = strictly synchronous flushes).
-  // While a flush is pending, its component sits uncommitted at the front
-  // of components_ (readable through the cache) and its entries are parked
-  // in pending_mem_ for rollback.
-  OverlapRuntime* overlap_ = nullptr;
-  WriteBehindQueue::Ticket pending_ticket_;
-  std::map<std::string, std::string> pending_mem_;
-  bool flush_pending_ = false;
 };
 
 }  // namespace pregelix

@@ -162,6 +162,22 @@ TEST(MetricsTest, SnapshotDeltaAndCostModel) {
   EXPECT_NEAR(SimulatedWorkerSeconds(delta, params), 4.0, 1e-9);
 }
 
+TEST(MetricsTest, WorkerSecondsIsThePlainPhaseSerialSum) {
+  // All I/O is synchronous, so no disk time hides behind compute: the
+  // retired overlap_io_bytes field must not earn a credit.
+  MetricsSnapshot delta;
+  delta.cpu_ops = 2'000'000;            // 2 s
+  delta.disk_read_bytes = 50'000'000;   // 0.5 s
+  delta.disk_write_bytes = 50'000'000;  // 0.5 s
+  delta.disk_seeks = 100;               // 0.5 s
+  delta.net_bytes = 117'000'000;        // 1 s
+  delta.overlap_io_bytes = 100'000'000;
+  CostModelParams params;
+  const double cpu = 2.0, disk = 1.0, seeks = 0.5, net = 1.0;
+  EXPECT_NEAR(SimulatedWorkerSeconds(delta, params), cpu + disk + seeks + net,
+              1e-9);
+}
+
 TEST(MetricsTest, StepTimeIsMaxAcrossWorkersPlusBarrier) {
   CostModelParams params;
   params.barrier_sec = 0.5;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
@@ -37,6 +38,17 @@ std::map<int64_t, std::string> ParseOutput(const DistributedFileSystem& dfs,
     }
   }
   return out;
+}
+
+/// Threads of this process, from /proc/self/task (-1 if unreadable).
+int CountThreads() {
+  std::error_code ec;
+  int n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return ec ? -1 : n;
 }
 
 class PregelRuntimeTest : public ::testing::Test {
@@ -96,6 +108,29 @@ TEST_F(PregelRuntimeTest, PageRankMatchesReference) {
     sum += rank;
   }
   EXPECT_NEAR(sum, 1.0, 1e-6);
+}
+
+// The cluster runs all I/O on the calling threads: once a job returns, no
+// engine thread is left behind.
+TEST_F(PregelRuntimeTest, RunLeavesNoBackgroundThreads) {
+  MakeDirected(200, "input/threads");
+  runtime_.reset();
+  cluster_.reset();
+  const int before = CountThreads();
+  ASSERT_GT(before, 0);
+  cluster_ = std::make_unique<SimulatedCluster>(config_);
+  runtime_ = std::make_unique<PregelixRuntime>(cluster_.get(), &dfs_);
+
+  PageRankProgram program(3);
+  PageRankProgram::Adapter adapter(&program);
+  PregelixJobConfig job;
+  job.name = "threads";
+  job.input_dir = "input/threads";
+  job.output_dir = "output/threads";
+  JobResult result;
+  Status s = runtime_->Run(&adapter, job, &result);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(CountThreads(), before);
 }
 
 TEST_F(PregelRuntimeTest, SsspLeftOuterMatchesBfs) {

@@ -564,5 +564,86 @@ TEST_F(SortTest, MergeRefillFaultPointSurfacesInjectedError) {
       << s.message();
 }
 
+// Eager shuffle (ExternalSortGrouper::SetEagerSink): feeds `n` (key,
+// min-distance) tuples with keys drawn from [0, key_range) to an eager
+// grouper and a plain one under the same small budget. Records how many
+// tuples the sink saw before Finish, folds everything the sink saw with the
+// combiner (the receiving group-by's job), and checks the folded groups
+// equal the plain grouper's output.
+struct EagerRun {
+  size_t shipped_before_finish = 0;
+  int runs_spilled = 0;
+};
+
+EagerRun CheckEagerMatchesPlain(const SortConfig& config, uint64_t seed,
+                                int n, uint64_t key_range) {
+  SortConfig plain_config = config;
+  plain_config.scratch_prefix += "-plain";  // the two spill side by side
+  ExternalSortGrouper eager(config, MinDoubleCombiner());
+  ExternalSortGrouper plain(plain_config, MinDoubleCombiner());
+  std::map<int64_t, double> folded;
+  size_t shipped = 0;
+  const TupleEmitFn sink = [&](std::span<const Slice> fields) {
+    ++shipped;
+    const int64_t key = DecodeOrderedI64(fields[0].data());
+    const double dist = DecodeDouble(fields[1].data());
+    auto [it, inserted] = folded.emplace(key, dist);
+    if (!inserted && dist < it->second) it->second = dist;
+    return Status::OK();
+  };
+  eager.SetEagerSink(sink);
+  Random rnd(seed);
+  for (int i = 0; i < n; ++i) {
+    const std::string k =
+        OrderedKeyI64(static_cast<int64_t>(rnd.Uniform(key_range)));
+    std::string payload;
+    PutDouble(&payload, rnd.NextDouble() * 100);
+    const Slice t[2] = {Slice(k), Slice(payload)};
+    EXPECT_TRUE(eager.Add(t).ok());
+    EXPECT_TRUE(plain.Add(t).ok());
+  }
+  EagerRun run;
+  run.shipped_before_finish = shipped;
+  run.runs_spilled = eager.runs_spilled();
+  EXPECT_TRUE(eager.Finish(sink).ok());
+
+  std::map<int64_t, double> expected;
+  EXPECT_TRUE(plain
+                  .Finish([&](std::span<const Slice> fields) {
+                    expected[DecodeOrderedI64(fields[0].data())] =
+                        DecodeDouble(fields[1].data());
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(folded.size(), expected.size());
+  for (const auto& [key, dist] : expected) {
+    auto it = folded.find(key);
+    if (it == folded.end()) {
+      ADD_FAILURE() << "key " << key << " never reached the sink";
+      continue;
+    }
+    EXPECT_EQ(it->second, dist) << "key " << key;
+  }
+  return run;
+}
+
+TEST_F(SortTest, EagerSinkShipsHeavilyCombiningBatches) {
+  // 20 keys: every budget-sized batch collapses to at most 20 groups, so
+  // after the first overflow (which always spills) batches ship.
+  const EagerRun run =
+      CheckEagerMatchesPlain(MakeConfig(2048), 31, 5000, /*key_range=*/20);
+  EXPECT_GT(run.shipped_before_finish, 0u);
+  EXPECT_EQ(run.runs_spilled, 1);
+}
+
+TEST_F(SortTest, EagerSinkSpillsPoorlyCombiningBatches) {
+  // Keys far outnumber the tuples of one batch, so batches barely combine
+  // and keep spilling: nothing reaches the sink before Finish.
+  const EagerRun run =
+      CheckEagerMatchesPlain(MakeConfig(2048), 32, 5000, /*key_range=*/100000);
+  EXPECT_EQ(run.shipped_before_finish, 0u);
+  EXPECT_GT(run.runs_spilled, 1);
+}
+
 }  // namespace
 }  // namespace pregelix

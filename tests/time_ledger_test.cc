@@ -1,8 +1,7 @@
 // Worker time ledger (DESIGN.md §20): conservation on attach/detach, nested
 // scope suspend/resume, reattribution of measured waits, contended-lock
-// accounting, guard-misuse counting, the run-file io_wait equality the
-// overlap layer guarantees, and end-to-end surface consistency — after a
-// full PageRank run, /profilez (JSON and collapsed), the Prometheus
+// accounting, guard-misuse counting, and end-to-end surface consistency —
+// after a full PageRank run, /profilez (JSON and collapsed), the Prometheus
 // exposition, and TakeSnapshot must all report the same totals, with zero
 // unattributed nanoseconds.
 
@@ -27,8 +26,6 @@
 #include "dataflow/cluster.h"
 #include "dfs/dfs.h"
 #include "graph/generator.h"
-#include "io/overlap.h"
-#include "io/run_file.h"
 #include "pregel/runtime.h"
 #include "server/http.h"
 #include "server/job_registry.h"
@@ -234,62 +231,6 @@ TEST(TimeLedgerTest, DisabledLedgerRefusesAttachesAndStaysEmpty) {
   EXPECT_EQ(snap.elapsed_ns, 0);
   EXPECT_EQ(snap.attributed_ns(), 0);
   EXPECT_EQ(snap.misuse_count, 0);
-}
-
-// The satellite guarantee from PR 9's profiled waits: the measured
-// io_wait_ns counters of an overlapped run file equal the ledger's io_wait
-// bucket for the thread that drove them — to the nanosecond, because
-// WaitReattribution moves exactly the counter delta.
-TEST(TimeLedgerTest, RunFileIoWaitEqualsLedgerBucketExactly) {
-  TimeLedger& ledger = TimeLedger::Global();
-  ledger.Reset();
-  TempDir dir("ledger-runfile");
-  WorkerMetrics metrics;
-  // A 1-byte budget forces every append to stall behind the previous one.
-  OverlapRuntime overlap(/*writebehind_budget_bytes=*/1);
-
-  ASSERT_TRUE(
-      TimeLedger::AttachCurrentThread(0, TimeCategory::kCompute, "runfile"));
-  const std::string run_path = dir.path() + "/run";
-  const std::string block(64 * 1024, 'x');
-  uint64_t total_io_wait = 0;
-  {
-    std::unique_ptr<RunFileWriter> writer;
-    ASSERT_TRUE(
-        RunFileWriter::Open(run_path, &metrics, &overlap, &writer).ok());
-    for (int i = 0; i < 16; ++i) {
-      ASSERT_TRUE(writer->AppendBlock(Slice(block)).ok());
-    }
-    ASSERT_TRUE(writer->Finish().ok());
-    EXPECT_GT(writer->io_wait_ns(), 0u);
-    total_io_wait += writer->io_wait_ns();
-  }
-  {
-    std::unique_ptr<RunFileReader> reader;
-    ASSERT_TRUE(
-        RunFileReader::Open(run_path, &metrics, &overlap, &reader).ok());
-    std::string out;
-    int blocks = 0;
-    for (;;) {
-      const Status s = reader->NextBlock(&out);
-      if (!s.ok()) break;
-      ++blocks;
-    }
-    EXPECT_EQ(blocks, 16);
-    total_io_wait += reader->io_wait_ns();
-  }
-  TimeLedger::DetachCurrentThread();
-
-  const TimeLedgerSnapshot snap = ledger.TakeSnapshot();
-  EXPECT_EQ(snap.unattributed_ns, 0);
-  EXPECT_EQ(snap.attributed_ns(), snap.elapsed_ns);
-  // Exact equality: the ledger bucket is the same measurement, relocated.
-  EXPECT_EQ(snap.ns(TimeCategory::kIoWait),
-            static_cast<int64_t>(total_io_wait));
-  const std::map<std::string, int64_t> by_op =
-      snap.ByLabel(TimeCategory::kIoWait);
-  ASSERT_EQ(by_op.count("runfile"), 1u);
-  EXPECT_EQ(by_op.at("runfile"), static_cast<int64_t>(total_io_wait));
 }
 
 // ---------------------------------------------------------------------------
