@@ -87,10 +87,10 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line, bool fatal)
         1000);
     std::tm tm_buf{};
     localtime_r(&secs, &tm_buf);
-    char stamp[40];
-    snprintf(stamp, sizeof(stamp), "%04d-%02d-%02d %02d:%02d:%02d.%03d",
-             tm_buf.tm_year + 1900, tm_buf.tm_mon + 1, tm_buf.tm_mday,
-             tm_buf.tm_hour, tm_buf.tm_min, tm_buf.tm_sec, millis);
+    char stamp[32];
+    const size_t len =
+        std::strftime(stamp, sizeof(stamp), "%Y-%m-%d %H:%M:%S", &tm_buf);
+    snprintf(stamp + len, sizeof(stamp) - len, ".%03d", millis);
     stream_ << "[" << LevelName(level) << " " << stamp << " tid "
             << std::this_thread::get_id() << " " << base << ":" << line
             << "] ";

@@ -310,7 +310,7 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
     cc.num_src = num_src;
     cc.num_dst = num_dst;
 
-    FrameChannel::Policy policy;
+    FrameChannel::Policy policy = FrameChannel::Policy::kPipelined;
     switch (c.policy) {
       case ConnectorSpec::Policy::kPipelined:
         policy = FrameChannel::Policy::kPipelined;

@@ -26,6 +26,32 @@ std::string FormatRatio(const char* tag, double v) {
   return buf;
 }
 
+bool HasAutoKnob(const PregelixJobConfig& cfg) {
+  return cfg.join == JoinStrategy::kAuto ||
+         cfg.groupby == GroupByStrategy::kAuto ||
+         cfg.groupby_connector == GroupByConnector::kAuto;
+}
+
+/// Matches `name` against the canonical spelling of every enumerator in
+/// `all`; on a miss the error lists the accepted spellings.
+template <typename Enum, size_t N>
+Status ParseByName(const char* knob, std::string_view name,
+                   const Enum (&all)[N], const char* (*to_name)(Enum),
+                   Enum* out) {
+  std::string accepted;
+  for (Enum e : all) {
+    if (name == to_name(e)) {
+      *out = e;
+      return Status::OK();
+    }
+    if (!accepted.empty()) accepted += "|";
+    accepted += to_name(e);
+  }
+  return Status::InvalidArgument("unknown " + std::string(knob) + " \"" +
+                                 std::string(name) + "\" (accepted: " +
+                                 accepted + ")");
+}
+
 }  // namespace
 
 void SetPlanDecisionOverrideForTesting(PlanDecisionOverride fn) {
@@ -37,26 +63,6 @@ int64_t ApproxVertexScanBytes(int64_t num_vertices, int64_t num_edges) {
   // fields per vertex and ~8 bytes per edge entry. Only the order of
   // magnitude matters — it is compared against message volume.
   return num_vertices * 16 + num_edges * 8;
-}
-
-JoinStrategy LegacyAdaptiveJoin(int64_t superstep, int64_t live_vertices,
-                                int64_t messages, int64_t message_bytes,
-                                int64_t num_vertices, int64_t num_edges) {
-  // Superstep 1 always scans: everything starts live.
-  if (superstep <= 1) return JoinStrategy::kFullOuter;
-  // Once the active frontier (live vertices plus combined messages) drops
-  // below 1/5 of the graph, probing beats scanning...
-  const int64_t frontier = live_vertices + messages;
-  if (frontier * 5 >= num_vertices) return JoinStrategy::kFullOuter;
-  // ...unless the superstep is message-bound anyway: a sparse frontier with
-  // heavy fanout (few destinations, large combined payloads) used to pick
-  // the probe join here and spill — the probe side saves the sequential
-  // scan but pays random descents per key while still moving every message
-  // byte. Stay with the merge scan when message volume rivals it.
-  if (message_bytes * 2 >= ApproxVertexScanBytes(num_vertices, num_edges)) {
-    return JoinStrategy::kFullOuter;
-  }
-  return JoinStrategy::kLeftOuter;
 }
 
 PlanOptimizer::PlanOptimizer(PlanOptimizerOptions opts) : opts_(opts) {
@@ -93,7 +99,6 @@ bool PlanOptimizer::Confirm(KnobState* k, int64_t superstep, bool wants_change,
 }
 
 PlanDecision PlanOptimizer::Decide(int64_t superstep) {
-  if (superstep == decided_superstep_) return decided_;
   last_reactive_ = false;
   last_reason_ = superstep <= 1 || !has_feedback_ ? "initial" : "carry";
 
@@ -201,9 +206,7 @@ PlanDecision PlanOptimizer::Decide(int64_t superstep) {
     last_reason_ = "override";
     last_reactive_ = false;
   }
-  decided_superstep_ = superstep;
-  decided_ = current_;
-  return decided_;
+  return current_;
 }
 
 VertexStorage ResolveStorageAtAdmission(const JobRuntimeContext& ctx) {
@@ -218,34 +221,22 @@ VertexStorage ResolveStorageAtAdmission(const JobRuntimeContext& ctx) {
              : VertexStorage::kBTree;
 }
 
+void InitPlanChooser(JobRuntimeContext* ctx) {
+  ctx->current_storage = ResolveStorageAtAdmission(*ctx);
+  ctx->has_prev_plan = false;
+  if (HasAutoKnob(*ctx->job_config)) {
+    PlanOptimizerOptions opts;
+    opts.groupby_memory_bytes = ctx->cluster->config().groupby_memory_bytes;
+    ctx->optimizer = std::make_shared<PlanOptimizer>(opts);
+  } else {
+    ctx->optimizer.reset();
+  }
+}
+
 PlanDecision ResolvePlanDecision(JobRuntimeContext* ctx) {
   const PregelixJobConfig& cfg = *ctx->job_config;
-  PlanDecision d;
-  switch (cfg.join) {
-    case JoinStrategy::kFullOuter:
-    case JoinStrategy::kLeftOuter:
-      d.join = cfg.join;
-      break;
-    case JoinStrategy::kAdaptive:
-    case JoinStrategy::kAuto:
-      // kAuto without an optimizer (plan-generator unit tests, direct
-      // BuildSuperstepJob callers) deterministically re-decides via the
-      // legacy heuristic — also what a recovering driver does before its
-      // optimizer has observed anything.
-      d.join = LegacyAdaptiveJoin(ctx->current_superstep,
-                                  ctx->gs.live_vertices, ctx->gs.messages,
-                                  ctx->gs.message_bytes, ctx->gs.num_vertices,
-                                  ctx->gs.num_edges);
-      break;
-  }
-  // Matches the optimizer's own optimistic start so a recovering driver
-  // (optimizer not yet fed) re-derives the same superstep-1 plan.
-  d.groupby = cfg.groupby == GroupByStrategy::kAuto
-                  ? GroupByStrategy::kHashSort
-                  : cfg.groupby;
-  d.connector = cfg.groupby_connector == GroupByConnector::kAuto
-                    ? GroupByConnector::kUnmerged
-                    : cfg.groupby_connector;
+  PREGELIX_CHECK((ctx->optimizer != nullptr) == HasAutoKnob(cfg));
+  PlanDecision d{cfg.join, cfg.groupby, cfg.groupby_connector};
   if (ctx->optimizer != nullptr) {
     const PlanDecision chosen = ctx->optimizer->Decide(ctx->current_superstep);
     if (cfg.join == JoinStrategy::kAuto) d.join = chosen.join;
@@ -254,53 +245,30 @@ PlanDecision ResolvePlanDecision(JobRuntimeContext* ctx) {
       d.connector = chosen.connector;
     }
   }
-  // A verifier rejection pinned this superstep to the previous plan; the
-  // pin wins over any re-derived choice (the pin is inert for any other
-  // superstep, so no cleanup is needed when the driver advances).
-  if (ctx->plan_pinned && ctx->pinned_superstep == ctx->current_superstep) {
-    d = ctx->pinned_plan;
-  }
-  ctx->current_join = d.join;
-  ctx->current_groupby = d.groupby;
-  ctx->current_connector = d.connector;
+  ctx->plan = d;
   return d;
 }
 
 Status ResolveAndPublishPlan(JobRuntimeContext* ctx, MetricsRegistry* registry,
-                             PlanDecisionRecord* record) {
-  // A new superstep starts unpinned; a pin appears below only when the
-  // verifier rejects this superstep's candidate plan.
-  ctx->plan_pinned = false;
+                             PlanDecisionRecord* record, JobSpec* spec) {
   PlanDecision d = ResolvePlanDecision(ctx);
+  *spec = BuildSuperstepJob(ctx);
 
   // --- Static verification gate (DESIGN.md §18) ---------------------------
-  // Every plan switch is verified before anything is published; debug
-  // builds verify every superstep. A rejected switch falls back to the
-  // previous superstep's plan (known-good: it already passed admission and
-  // ran), journals `plan.verify.reject`, and bumps pregelix.verifier.*.
-  const bool switching = ctx->has_prev_plan && d != ctx->prev_plan;
-#ifdef NDEBUG
-  const bool verify_now = switching;
-#else
-  const bool verify_now = true;
-#endif
+  // Every plan switch is verified before anything is published (RunJob
+  // admission re-verifies every spec anyway). A rejected switch falls back
+  // to the previous superstep's plan (known-good: it already passed
+  // admission and ran), journals `plan.verify.reject`, and bumps
+  // pregelix.verifier.*.
   std::string verify_reject_reason;
-  if (verify_now && ctx->cluster != nullptr) {
-    const JobSpec candidate = BuildSuperstepJob(ctx);
+  if (ctx->has_prev_plan && d != ctx->prev_plan) {
     const PlanVerifyResult verdict =
-        VerifyPlan(candidate, PlanVerifyOptionsFrom(ctx->cluster->config()));
+        VerifyPlan(*spec, PlanVerifyOptionsFrom(ctx->cluster->config()));
     CountVerification(registry, verdict);
     if (!verdict.ok()) {
-      if (!switching) {
-        // Nothing known-good to fall back to — reject the job with the
-        // full compiler-style diagnostic (RunJob admission would anyway).
-        return Status::InvalidArgument(verdict.Render(candidate.name()));
-      }
       const PlanDecision rejected = d;
-      ctx->plan_pinned = true;
-      ctx->pinned_superstep = ctx->current_superstep;
-      ctx->pinned_plan = ctx->prev_plan;
-      d = ResolvePlanDecision(ctx);  // applies the pin to ctx->current_*
+      d = ctx->plan = ctx->prev_plan;
+      *spec = BuildSuperstepJob(ctx);
       std::string rules;
       for (const PlanViolation& v : verdict.violations) {
         if (!rules.empty()) rules += ",";
@@ -335,9 +303,7 @@ Status ResolveAndPublishPlan(JobRuntimeContext* ctx, MetricsRegistry* registry,
     record->reason = ctx->optimizer->last_reason();
   } else {
     record->reactive = false;
-    record->reason =
-        ctx->job_config->join == JoinStrategy::kAdaptive ? "adaptive"
-                                                         : "static";
+    record->reason = "static";
   }
 
   struct Change {
@@ -420,8 +386,6 @@ const char* JoinStrategyName(JoinStrategy join) {
       return "fullouter";
     case JoinStrategy::kLeftOuter:
       return "leftouter";
-    case JoinStrategy::kAdaptive:
-      return "adaptive";
     case JoinStrategy::kAuto:
       return "auto";
   }
@@ -471,6 +435,32 @@ std::string PlanDecisionString(const PlanDecision& d) {
   out += "/";
   out += GroupByConnectorName(d.connector);
   return out;
+}
+
+Status ParseJoinStrategy(std::string_view name, JoinStrategy* out) {
+  static constexpr JoinStrategy kAll[] = {
+      JoinStrategy::kFullOuter, JoinStrategy::kLeftOuter, JoinStrategy::kAuto};
+  return ParseByName("join", name, kAll, JoinStrategyName, out);
+}
+
+Status ParseGroupByStrategy(std::string_view name, GroupByStrategy* out) {
+  static constexpr GroupByStrategy kAll[] = {
+      GroupByStrategy::kSort, GroupByStrategy::kHashSort,
+      GroupByStrategy::kAuto};
+  return ParseByName("groupby", name, kAll, GroupByStrategyName, out);
+}
+
+Status ParseGroupByConnector(std::string_view name, GroupByConnector* out) {
+  static constexpr GroupByConnector kAll[] = {GroupByConnector::kUnmerged,
+                                              GroupByConnector::kMerged,
+                                              GroupByConnector::kAuto};
+  return ParseByName("connector", name, kAll, GroupByConnectorName, out);
+}
+
+Status ParseVertexStorage(std::string_view name, VertexStorage* out) {
+  static constexpr VertexStorage kAll[] = {
+      VertexStorage::kBTree, VertexStorage::kLsmBTree, VertexStorage::kAuto};
+  return ParseByName("storage", name, kAll, VertexStorageName, out);
 }
 
 }  // namespace pregelix

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -14,9 +15,9 @@
 // optimization").
 //
 // The chooser consumes the *previous* superstep's observations — live-vertex
-// ratio, combined message count and bytes, spill count/bytes, group-by skew,
-// cache-hit ratio, and whether the stall watchdog fired — and re-chooses
-// among the paper's physical variants at every superstep boundary:
+// ratio, combined message count and bytes, spill count/bytes, group-by skew
+// and combiner reduction, and whether the stall watchdog fired — and
+// re-chooses among the paper's physical variants at every superstep boundary:
 //
 //   join       Vid-merge full-outer scan  vs  left-outer Vertex probe
 //   group-by   sort-based                 vs  hash pre-aggregation
@@ -32,11 +33,11 @@
 
 namespace pregelix {
 
+class JobSpec;
 struct JobRuntimeContext;
 class MetricsRegistry;
 
-/// The three per-superstep-switchable knobs, fully resolved (never an
-/// adaptive/auto value).
+/// The three per-superstep-switchable knobs, fully resolved (never kAuto).
 struct PlanDecision {
   JoinStrategy join = JoinStrategy::kFullOuter;
   GroupByStrategy groupby = GroupByStrategy::kSort;
@@ -52,16 +53,13 @@ struct PlanDecision {
 /// from GS, SuperstepStats, the PlanProfile when profiling is on, and the
 /// stall watchdog).
 struct OptimizerFeedback {
-  int64_t superstep = 0;  ///< the superstep these observations describe
   int64_t num_vertices = 0;
   int64_t num_edges = 0;
   int64_t live_vertices = 0;
   int64_t messages = 0;       ///< combined messages produced (count)
   int64_t message_bytes = 0;  ///< combined message payload volume
-  uint64_t bytes_shuffled = 0;
   uint64_t spill_count = 0;
   uint64_t spill_bytes = 0;
-  double cache_hit_ratio = 1.0;
   /// Combine-op worker skew (max/median wall) from the plan profile; 1.0
   /// when unknown (profiling off).
   double groupby_skew = 1.0;
@@ -71,8 +69,6 @@ struct OptimizerFeedback {
   uint64_t combine_tuples_out = 0;
   /// The stall watchdog flagged this superstep while it ran.
   bool stalled = false;
-  /// The plan these observations were made under.
-  PlanDecision plan;
 };
 
 /// Tuning thresholds. Defaults are what DESIGN.md documents; tests construct
@@ -89,8 +85,7 @@ struct PlanOptimizerOptions {
   double dense_frontier_ratio = 0.35;
   /// Message volume past `message_scan_ratio * approx_scan_bytes` keeps the
   /// sequential scan-merge: the superstep is message-bound either way, and
-  /// the probe join only adds random I/O (the legacy heuristic's blind
-  /// spot).
+  /// the probe join only adds random I/O.
   double message_scan_ratio = 0.5;
   /// Reactive spill threshold = factor * groupby_memory_bytes.
   double spill_budget_factor = 1.0;
@@ -128,9 +123,8 @@ class PlanOptimizer {
   /// at each barrier, before deciding the next superstep.
   void Observe(const OptimizerFeedback& feedback);
 
-  /// Chooses the plan for `superstep`. Idempotent per superstep: repeated
-  /// calls with the same superstep return the cached decision without
-  /// advancing hysteresis state.
+  /// Chooses the plan for `superstep`. Every call advances the hysteresis
+  /// state, so the driver calls it exactly once per superstep.
   PlanDecision Decide(int64_t superstep);
 
   /// True when the most recent Decide switched reactively (stall / spill
@@ -142,8 +136,6 @@ class PlanOptimizer {
   /// Total knob switches so far (a join+connector switch in one superstep
   /// counts 2).
   int64_t switch_count() const { return switch_count_; }
-
-  const PlanOptimizerOptions& options() const { return opts_; }
 
  private:
   struct KnobState {
@@ -169,8 +161,6 @@ class PlanOptimizer {
   /// spill signal that caused the switch).
   int64_t connector_switch_load_ = 0;
 
-  int64_t decided_superstep_ = -1;
-  PlanDecision decided_;
   bool last_reactive_ = false;
   std::string last_reason_ = "initial";
   int64_t switch_count_ = 0;
@@ -184,18 +174,9 @@ using PlanDecisionOverride =
     std::function<bool(int64_t superstep, PlanDecision* decision)>;
 void SetPlanDecisionOverrideForTesting(PlanDecisionOverride fn);
 
-/// The legacy single-knob `JoinStrategy::kAdaptive` heuristic, message-bytes
-/// aware: left-outer only when the frontier is sparse AND the combined
-/// message volume does not rival the sequential scan the full-outer plan
-/// would do anyway (heavy-fanout supersteps are message-bound; probing only
-/// adds random I/O and Vid maintenance).
-JoinStrategy LegacyAdaptiveJoin(int64_t superstep, int64_t live_vertices,
-                                int64_t messages, int64_t message_bytes,
-                                int64_t num_vertices, int64_t num_edges);
-
-/// The scan-volume approximation shared by the legacy heuristic and the
-/// optimizer's message-dominance guard: what a full-outer pass over the
-/// Vertex relation roughly reads, from the graph shape alone.
+/// The optimizer's message-dominance guard compares message volume with
+/// this: what a full-outer pass over the Vertex relation roughly reads, from
+/// the graph shape alone.
 int64_t ApproxVertexScanBytes(int64_t num_vertices, int64_t num_edges);
 
 /// Admission-time storage resolution: static hints pass through; kAuto picks
@@ -204,27 +185,31 @@ int64_t ApproxVertexScanBytes(int64_t num_vertices, int64_t num_edges);
 /// process re-derives the same choice.
 VertexStorage ResolveStorageAtAdmission(const JobRuntimeContext& ctx);
 
+/// Admission-time chooser setup for ctx->job_config: resolves storage,
+/// forgets the previous superstep's plan, and installs a fresh PlanOptimizer
+/// exactly when some switchable knob is kAuto (null otherwise).
+void InitPlanChooser(JobRuntimeContext* ctx);
+
 /// Resolves the three switchable knobs for ctx->current_superstep and writes
-/// them into ctx->current_{join,groupby,connector}. Static hints pass
-/// through; kAdaptive join uses the legacy heuristic; kAuto knobs ask
-/// ctx->optimizer (falling back to the same defaults when no optimizer is
-/// installed, e.g. plan-generator unit tests). Pure apart from the
-/// optimizer's own memoized Decide.
+/// them into ctx->plan. Static hints pass through; kAuto knobs ask
+/// ctx->optimizer, which InitPlanChooser must have installed. Each call
+/// advances the optimizer by one Decide.
 PlanDecision ResolvePlanDecision(JobRuntimeContext* ctx);
 
-/// Driver-path resolution: ResolvePlanDecision plus the observable effects —
-/// the `pregel.plan.switch` fault point when the plan changed, a
-/// `plan.switch` EventJournal event per switched knob, the
-/// `pregelix.optimizer.*` metrics, and the JobStatusRegistry publish. Fills
-/// `record` for JobResult::plan_decisions / `pregelix explain`.
+/// The driver's once-per-superstep plan step: ResolvePlanDecision, then
+/// BuildSuperstepJob into `spec`, plus the observable effects — the
+/// `pregel.plan.switch` fault point when the plan changed, a `plan.switch`
+/// EventJournal event per switched knob, the `pregelix.optimizer.*`
+/// metrics, and the JobStatusRegistry publish. Fills `record` for
+/// JobResult::plan_decisions / `pregelix explain`.
 ///
 /// Every plan switch passes the static verifier (dataflow/plan_verifier.h)
-/// before publication — debug builds verify every superstep. A rejected
-/// switch pins the previous superstep's plan (JobRuntimeContext::pinned_*),
-/// journals `plan.verify.reject`, bumps `pregelix.verifier.rejects`, and the
-/// superstep proceeds under the known-good plan.
+/// before publication. A rejected switch restores the previous superstep's
+/// plan into ctx->plan and rebuilds `spec`, journals `plan.verify.reject`,
+/// bumps `pregelix.verifier.rejects`, and the superstep proceeds under the
+/// known-good plan.
 Status ResolveAndPublishPlan(JobRuntimeContext* ctx, MetricsRegistry* registry,
-                             PlanDecisionRecord* record);
+                             PlanDecisionRecord* record, JobSpec* spec);
 
 // Canonical knob spellings (CLI flags, events, /jobs/<id>, explain).
 const char* JoinStrategyName(JoinStrategy join);
@@ -233,6 +218,13 @@ const char* GroupByConnectorName(GroupByConnector connector);
 const char* VertexStorageName(VertexStorage storage);
 /// "fullouter/sort/unmerged"-style compact plan string.
 std::string PlanDecisionString(const PlanDecision& d);
+
+/// Inverses of the *Name functions. An unknown spelling returns
+/// InvalidArgument naming every accepted one.
+Status ParseJoinStrategy(std::string_view name, JoinStrategy* out);
+Status ParseGroupByStrategy(std::string_view name, GroupByStrategy* out);
+Status ParseGroupByConnector(std::string_view name, GroupByConnector* out);
+Status ParseVertexStorage(std::string_view name, VertexStorage* out);
 
 }  // namespace pregelix
 

@@ -88,7 +88,7 @@ SortConfig MakeSortConfig(JobRuntimeContext* ctx, TaskContext& task,
 /// it to the re-combined groups, which is only byte-identical when finish
 /// is absent (both shipped combiners are pure accumulators).
 bool EagerShuffleEnabled(const JobRuntimeContext* ctx) {
-  return ctx->current_connector == GroupByConnector::kUnmerged &&
+  return ctx->plan.connector == GroupByConnector::kUnmerged &&
          !ctx->program->MsgCombiner().finish;
 }
 
@@ -245,8 +245,8 @@ class ComputeDriver {
       : ctx_(ctx),
         task_(task),
         state_(ctx->partitions[task.partition]),
-        loj_(ctx->current_join == JoinStrategy::kLeftOuter),
-        defer_updates_(ctx->current_join == JoinStrategy::kFullOuter),
+        loj_(ctx->plan.join == JoinStrategy::kLeftOuter),
+        defer_updates_(ctx->plan.join == JoinStrategy::kFullOuter),
         agg_hooks_(ctx->program->GlobalAggregator()),
         pending_(ctx->PartitionDir(task.partition) + "/pending-" +
                      std::to_string(ctx->current_superstep),
@@ -255,7 +255,7 @@ class ComputeDriver {
     contribution_.has_aggregate = agg_hooks_.valid();
     const GroupCombiner combiner = ctx->program->MsgCombiner();
     SortConfig gconf = MakeSortConfig(ctx, task, "sendgb");
-    if (ctx->current_groupby == GroupByStrategy::kHashSort) {
+    if (ctx->plan.groupby == GroupByStrategy::kHashSort) {
       hash_grouper_ =
           std::make_unique<HashSortGrouper>(gconf, combiner);
     } else {
@@ -571,7 +571,7 @@ Status RunCombineOp(JobRuntimeContext* ctx, TaskContext& task) {
   FrameTupleAccessor acc(2);
   std::string frame;
 
-  if (ctx->current_connector == GroupByConnector::kMerged) {
+  if (ctx->plan.connector == GroupByConnector::kMerged) {
     // The merging connector already delivers a key-sorted stream: one-pass
     // preclustered group-by.
     PreclusteredGrouper grouper(combiner, task.metrics);
@@ -583,7 +583,7 @@ Status RunCombineOp(JobRuntimeContext* ctx, TaskContext& task) {
       }
     }
     PREGELIX_RETURN_NOT_OK(grouper.Finish(emit));
-  } else if (ctx->current_groupby == GroupByStrategy::kHashSort) {
+  } else if (ctx->plan.groupby == GroupByStrategy::kHashSort) {
     HashSortGrouper grouper(MakeSortConfig(ctx, task, "recvgb"), combiner);
     while (task.input(0).Next(&frame)) {
       acc.Reset(Slice(frame));
@@ -987,13 +987,8 @@ JobSpec BuildSuperstepJob(JobRuntimeContext* ctx) {
   spec.set_name(ctx->job_config->name + "-superstep-" +
                 std::to_string(ctx->current_superstep));
 
-  // Resolve the physical plan knobs for this superstep: static hints pass
-  // through, kAdaptive runs the legacy frontier heuristic, and kAuto
-  // consults the feedback-driven PlanOptimizer. Idempotent for the same
-  // superstep, so direct callers may rebuild the job after tweaking stats.
-  ResolvePlanDecision(ctx);
-  const bool loj = ctx->current_join == JoinStrategy::kLeftOuter;
-  const bool merged = ctx->current_connector == GroupByConnector::kMerged;
+  const bool loj = ctx->plan.join == JoinStrategy::kLeftOuter;
+  const bool merged = ctx->plan.connector == GroupByConnector::kMerged;
   const size_t groupby_bytes = ctx->cluster->config().groupby_memory_bytes;
   auto compute_op = std::make_shared<LambdaOperatorDescriptor>(
       loj ? "compute-left-outer-join" : "compute-full-outer-join",

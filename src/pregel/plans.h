@@ -26,7 +26,7 @@ JobSpec BuildLoadJob(JobRuntimeContext* ctx);
 /// compute UDF with its mini-operators (filter, Vertex update, projections),
 /// and feeds three flows: messages to the combine group-by (D3->D7), global
 /// state contributions to the aggregation clone (D4/D5), and mutations to
-/// resolve (D6).
+/// resolve (D6). Builds the plan in ctx->plan; it resolves nothing itself.
 JobSpec BuildSuperstepJob(JobRuntimeContext* ctx);
 
 /// Dump: scan Vertex -> format -> DFS output part files.

@@ -149,20 +149,9 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
   result->plan_decisions.clear();
 
   // Plan chooser setup. Storage resolves once at admission (the indexes are
-  // built at load and never rebuilt mid-job); the three switchable knobs
-  // get a feedback-driven PlanOptimizer iff any of them is kAuto.
-  // RunPipeline reuses one ctx across jobs, so chooser state resets here.
-  ctx->current_storage = ResolveStorageAtAdmission(*ctx);
-  ctx->has_prev_plan = false;
-  if (config.join == JoinStrategy::kAuto ||
-      config.groupby == GroupByStrategy::kAuto ||
-      config.groupby_connector == GroupByConnector::kAuto) {
-    PlanOptimizerOptions opts;
-    opts.groupby_memory_bytes = cluster_->config().groupby_memory_bytes;
-    ctx->optimizer = std::make_shared<PlanOptimizer>(opts);
-  } else {
-    ctx->optimizer.reset();
-  }
+  // built at load and never rebuilt mid-job). RunPipeline reuses one ctx
+  // across jobs, so chooser state resets here.
+  InitPlanChooser(ctx);
 
   // EXPLAIN ANALYZE support: one PlanProfile per superstep, merged into a
   // cumulative job profile. Null when profiling is off — the executor and
@@ -300,15 +289,13 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
     const std::array<int64_t, kNumTimeCategories> ledger_before =
         TimeLedger::Global().TakeSnapshot().category_ns;
     const double step_wall = WallSeconds();
-    // Resolve (and publish: fault point, journal, metrics, /jobs/<id>) the
-    // physical plan before generating the superstep job. BuildSuperstepJob
-    // re-resolves internally, but the optimizer memoizes per superstep so
-    // the two calls agree and hysteresis state advances once.
+    // Resolve, verify and build the physical plan once (and publish it:
+    // fault point, journal, metrics, /jobs/<id>).
     PlanDecisionRecord plan_record;
-    PREGELIX_RETURN_NOT_OK(
-        ResolveAndPublishPlan(ctx, cluster_->registry(), &plan_record));
+    JobSpec spec;
+    PREGELIX_RETURN_NOT_OK(ResolveAndPublishPlan(ctx, cluster_->registry(),
+                                                 &plan_record, &spec));
     result->plan_decisions.push_back(plan_record);
-    JobSpec spec = BuildSuperstepJob(ctx);
     std::shared_ptr<PlanProfile> step_profile;
     if (profile_plan) step_profile = std::make_shared<PlanProfile>();
     const int64_t stalls_before = watchdog.stall_count();
@@ -331,10 +318,7 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
     stats.wall_seconds = WallSeconds() - step_wall;
     stats.live_vertices = ctx->gs.live_vertices;
     stats.messages = ctx->gs.messages;
-    stats.used_left_outer_join =
-        ctx->current_join == JoinStrategy::kLeftOuter;
-    stats.groupby_used = ctx->current_groupby;
-    stats.connector_used = ctx->current_connector;
+    stats.plan = ctx->plan;
     stats.cluster_delta = Sum(deltas);
     const uint64_t cache_hits = cache_after.first - cache_before.first;
     const uint64_t cache_misses = cache_after.second - cache_before.second;
@@ -358,18 +342,14 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
     // Decide consumes exactly these observations.
     if (ctx->optimizer != nullptr) {
       OptimizerFeedback fb;
-      fb.superstep = superstep;
       fb.num_vertices = ctx->gs.num_vertices;
       fb.num_edges = ctx->gs.num_edges;
       fb.live_vertices = ctx->gs.live_vertices;
       fb.messages = ctx->gs.messages;
       fb.message_bytes = ctx->gs.message_bytes;
-      fb.bytes_shuffled = stats.bytes_shuffled;
       fb.spill_count = stats.spill_count;
       fb.spill_bytes = stats.spill_bytes;
-      fb.cache_hit_ratio = stats.cache_hit_ratio;
       fb.stalled = stalled;
-      fb.plan = plan_record.plan;
       if (stats.profile != nullptr) {
         for (const PlanOperatorProfile& op : stats.profile->ops()) {
           if (op.name == "combine-msgs") {
@@ -387,10 +367,11 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
                << stats.bytes_shuffled << " cache_hit="
                << static_cast<int>(stats.cache_hit_ratio * 100.0 + 0.5)
                << "% spills=" << stats.spill_count << " plan="
-               << PlanDecisionString(plan_record.plan);
+               << PlanDecisionString(stats.plan);
     result->superstep_stats.push_back(stats);
     result->supersteps_sim_seconds += stats.sim_seconds;
 
+    const bool loj = stats.plan.join == JoinStrategy::kLeftOuter;
     // Publish the completed superstep to the live status registry + journal
     // (what /jobs/<id> and /events serve). The cumulative profile is
     // re-serialized with the same deterministic, timing-free writer as
@@ -404,8 +385,8 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
       brief.messages = stats.messages;
       brief.bytes_shuffled = stats.bytes_shuffled;
       brief.spill_count = stats.spill_count;
-      brief.left_outer_join = stats.used_left_outer_join;
-      brief.plan = PlanDecisionString(plan_record.plan);
+      brief.left_outer_join = loj;
+      brief.plan = PlanDecisionString(stats.plan);
       const std::array<int64_t, kNumTimeCategories> ledger_after =
           TimeLedger::Global().TakeSnapshot().category_ns;
       for (int c = 0; c < kNumTimeCategories; ++c) {
@@ -426,8 +407,8 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
            std::to_string(static_cast<int64_t>(stats.wall_seconds * 1e3))},
           {"shuffled_bytes", std::to_string(stats.bytes_shuffled)},
           {"spills", std::to_string(stats.spill_count)},
-          {"join", stats.used_left_outer_join ? "left-outer" : "full-outer"},
-          {"plan", PlanDecisionString(plan_record.plan)}};
+          {"join", loj ? "left-outer" : "full-outer"},
+          {"plan", brief.plan}};
       const std::string ledger_delta = LedgerDeltaString(brief.ledger_ns);
       if (!ledger_delta.empty()) {
         step_kv.emplace_back("ledger_ns", ledger_delta);
@@ -441,7 +422,7 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
     step_span.AddArg("superstep", superstep);
     step_span.AddArg("live_vertices", stats.live_vertices);
     step_span.AddArg("messages", stats.messages);
-    step_span.AddArg("left_outer_join", stats.used_left_outer_join ? 1 : 0);
+    step_span.AddArg("left_outer_join", loj ? 1 : 0);
     step_span.AddArg("sim_millis",
                      static_cast<int64_t>(stats.sim_seconds * 1e3));
     step_span.AddArg("cluster_cpu_ops",
@@ -527,7 +508,7 @@ Status PregelixRuntime::AdvanceGlobalState(JobRuntimeContext* ctx) {
     p.next_msg_path.clear();
     p.next_msg_count = 0;
     p.next_msg_bytes = 0;
-    if (ctx->job_config->join != JoinStrategy::kFullOuter) {
+    if (ctx->MaintainsVid()) {
       if (p.vid_index != nullptr) {
         Status s = p.vid_index->Destroy();
         if (!s.ok()) PLOG(Warn) << "vid destroy: " << s.ToString();
@@ -779,7 +760,7 @@ Status PregelixRuntime::RunPipeline(
 }
 
 Status PregelixRuntime::PrepareNextPipelinedJob(JobRuntimeContext* ctx) {
-  const bool loj = ctx->job_config->join != JoinStrategy::kFullOuter;
+  const bool loj = ctx->MaintainsVid();
   for (int p = 0; p < static_cast<int>(ctx->partitions.size()); ++p) {
     PartitionState& state = ctx->partitions[p];
     if (!state.msg_path.empty()) {

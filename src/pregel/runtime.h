@@ -24,11 +24,8 @@ struct SuperstepStats {
   double wall_seconds = 0;  ///< actual wall clock, sanity column
   int64_t live_vertices = 0;
   int64_t messages = 0;  ///< combined messages produced for the next step
-  /// Join plan executed (interesting under kAdaptive/kAuto).
-  bool used_left_outer_join = false;
-  /// Group-by strategy and connector executed (interesting under kAuto).
-  GroupByStrategy groupby_used = GroupByStrategy::kSort;
-  GroupByConnector connector_used = GroupByConnector::kUnmerged;
+  /// Plan executed (the JobRuntimeContext::plan of this superstep).
+  PlanDecision plan;
   MetricsSnapshot cluster_delta;  ///< summed counters across workers
 
   /// Connector bytes moved this superstep (from the plan profile when

@@ -90,30 +90,20 @@ struct JobRuntimeContext {
   GlobalState gs;
   /// Superstep currently executing (gs.superstep + 1).
   int64_t current_superstep = 1;
-  /// Plan knobs in effect for the current superstep. Equal the job hints
-  /// except under kAdaptive/kAuto, where ResolvePlanDecision resolves them
-  /// per superstep (legacy heuristic / PlanOptimizer).
-  JoinStrategy current_join = JoinStrategy::kFullOuter;
-  GroupByStrategy current_groupby = GroupByStrategy::kSort;
-  GroupByConnector current_connector = GroupByConnector::kUnmerged;
+  /// Plan in effect for the current superstep, resolved once per superstep
+  /// by ResolvePlanDecision; everything downstream of the driver reads it.
+  PlanDecision plan;
   /// Resolved once at job admission (before load); never kAuto.
   VertexStorage current_storage = VertexStorage::kBTree;
 
-  /// Feedback-driven chooser for kAuto knobs; null for static/kAdaptive
-  /// jobs. Owned here so operator lambdas and the driver share one
-  /// instance whose lifetime matches the job context.
+  /// Feedback-driven chooser; non-null exactly when some switchable knob is
+  /// kAuto (InitPlanChooser). Owned here so its lifetime matches the job
+  /// context.
   std::shared_ptr<PlanOptimizer> optimizer;
   /// Plan the previous superstep ran under (driver path), for switch
-  /// detection by ResolveAndPublishPlan.
+  /// detection and the verifier's fallback in ResolveAndPublishPlan.
   PlanDecision prev_plan;
   bool has_prev_plan = false;
-  /// Verifier fallback pin: when ResolveAndPublishPlan rejects the
-  /// optimizer's candidate for `pinned_superstep`, ResolvePlanDecision
-  /// returns `pinned_plan` for that superstep instead of re-deriving the
-  /// rejected choice (the pin is inert for any other superstep).
-  bool plan_pinned = false;
-  int64_t pinned_superstep = -1;
-  PlanDecision pinned_plan;
 
   /// True when the Vid live-vertex index must be maintained (any job that
   /// may run a left outer join superstep).

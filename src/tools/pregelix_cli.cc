@@ -57,25 +57,15 @@ struct Flags {
 };
 
 /// Parses the physical plan hint flags into `job` (shared by run, explain,
-/// and verify).
-void ApplyPlanFlags(const Flags& flags, PregelixJobConfig* job) {
-  const std::string join = flags.Get("join", "fullouter");
-  job->join = join == "leftouter" ? JoinStrategy::kLeftOuter
-              : join == "adaptive" ? JoinStrategy::kAdaptive
-              : join == "auto"     ? JoinStrategy::kAuto
-                                   : JoinStrategy::kFullOuter;
-  const std::string groupby = flags.Get("groupby", "sort");
-  job->groupby = groupby == "hashsort" ? GroupByStrategy::kHashSort
-                 : groupby == "auto"   ? GroupByStrategy::kAuto
-                                       : GroupByStrategy::kSort;
-  const std::string connector = flags.Get("connector", "unmerged");
-  job->groupby_connector = connector == "merged" ? GroupByConnector::kMerged
-                           : connector == "auto" ? GroupByConnector::kAuto
-                                                 : GroupByConnector::kUnmerged;
-  const std::string storage = flags.Get("storage", "btree");
-  job->storage = storage == "lsm"    ? VertexStorage::kLsmBTree
-                 : storage == "auto" ? VertexStorage::kAuto
-                                     : VertexStorage::kBTree;
+/// and verify); an unknown spelling is InvalidArgument.
+Status ApplyPlanFlags(const Flags& flags, PregelixJobConfig* job) {
+  PREGELIX_RETURN_NOT_OK(
+      ParseJoinStrategy(flags.Get("join", "fullouter"), &job->join));
+  PREGELIX_RETURN_NOT_OK(
+      ParseGroupByStrategy(flags.Get("groupby", "sort"), &job->groupby));
+  PREGELIX_RETURN_NOT_OK(ParseGroupByConnector(
+      flags.Get("connector", "unmerged"), &job->groupby_connector));
+  return ParseVertexStorage(flags.Get("storage", "btree"), &job->storage);
 }
 
 /// Builds the type-erased adapter for a typed vertex program; the deleter's
@@ -140,7 +130,7 @@ commands:
       --input=DIR [--output=DIR]
       --workers=N               simulated worker machines (default 4)
       --worker-ram-mb=M         simulated RAM per worker (default 16)
-      --join=fullouter|leftouter|adaptive|auto   (default fullouter)
+      --join=fullouter|leftouter|auto            (default fullouter)
       --groupby=sort|hashsort|auto               (default sort)
       --connector=unmerged|merged|auto           (default unmerged)
       --storage=btree|lsm|auto                   (default btree)
@@ -303,9 +293,9 @@ Status PrintExplain(const Flags& flags, const JobResult& result) {
         "%-10lld %-5s %-9s %-9s %-10.3f %-10lld %-10lld %-14llu %-9.1f "
         "%-7llu\n",
         static_cast<long long>(s.superstep),
-        s.used_left_outer_join ? "LOJ" : "FOJ",
-        GroupByStrategyName(s.groupby_used),
-        GroupByConnectorName(s.connector_used), s.wall_seconds * 1e3,
+        s.plan.join == JoinStrategy::kLeftOuter ? "LOJ" : "FOJ",
+        GroupByStrategyName(s.plan.groupby),
+        GroupByConnectorName(s.plan.connector), s.wall_seconds * 1e3,
         static_cast<long long>(s.live_vertices),
         static_cast<long long>(s.messages),
         static_cast<unsigned long long>(s.bytes_shuffled),
@@ -365,6 +355,7 @@ Status VerifyJobPlans(SimulatedCluster* cluster, DistributedFileSystem* dfs,
   ctx.dfs = dfs;
   ctx.job_id = "verify";
   ctx.current_superstep = 1;
+  InitPlanChooser(&ctx);
 
   const PlanVerifyOptions vopts = PlanVerifyOptionsFrom(cluster->config());
   int checked = 0;
@@ -382,12 +373,12 @@ Status VerifyJobPlans(SimulatedCluster* cluster, DistributedFileSystem* dfs,
     }
   };
   auto check_superstep = [&]() {
-    // BuildSuperstepJob resolves kAuto/kAdaptive knobs into ctx.current_*;
-    // label with what was actually planned.
-    const JobSpec spec = BuildSuperstepJob(&ctx);
-    const PlanDecision d{ctx.current_join, ctx.current_groupby,
-                         ctx.current_connector};
-    check("superstep[" + PlanDecisionString(d) + "]", spec);
+    // Resolve kAuto knobs as the driver would at superstep 1, and label
+    // with what was actually planned.
+    InitPlanChooser(&ctx);
+    ResolvePlanDecision(&ctx);
+    check("superstep[" + PlanDecisionString(ctx.plan) + "]",
+          BuildSuperstepJob(&ctx));
   };
 
   check("load", BuildLoadJob(&ctx));
@@ -428,7 +419,7 @@ Status VerifyJobPlans(SimulatedCluster* cluster, DistributedFileSystem* dfs,
 /// physical plans against the configured cluster budgets. Builds the plans
 /// exactly as `run` would but executes none of them, so it needs no input
 /// graph and (unless --dfs is given) no DFS.
-Status VerifyCommand(const Flags& flags) {
+Status VerifyCommand(const Flags& flags, PregelixJobConfig job) {
   TempDir scratch("pregelix-verify");
   DistributedFileSystem dfs(
       flags.Has("dfs") ? flags.Get("dfs") : scratch.Sub("dfs"));
@@ -440,10 +431,8 @@ Status VerifyCommand(const Flags& flags) {
   config.temp_root = scratch.Sub("cluster");
   SimulatedCluster cluster(config);
 
-  PregelixJobConfig job;
   job.input_dir = flags.Get("input");
   job.output_dir = flags.Get("output");
-  ApplyPlanFlags(flags, &job);
   const std::string algorithm = flags.Get("algorithm", "pagerank");
   job.name = "verify-" + algorithm;
 
@@ -456,7 +445,7 @@ Status VerifyCommand(const Flags& flags) {
                         /*all_plans=*/!flags.Has("configured-only"));
 }
 
-Status RunCommand(const Flags& flags, bool explain) {
+Status RunCommand(const Flags& flags, PregelixJobConfig job, bool explain) {
   // Disable before any thread attaches: every guard, reattribution, and
   // lock-wait charge in the process becomes inert.
   if (flags.Get("time-ledger", "on") == "off") {
@@ -518,7 +507,6 @@ Status RunCommand(const Flags& flags, bool explain) {
     fflush(stdout);
   }
 
-  PregelixJobConfig job;
   job.input_dir = flags.Get("input");
   job.output_dir = flags.Get("output");
   job.max_supersteps = static_cast<int>(flags.GetInt("max-supersteps", 1000));
@@ -528,8 +516,6 @@ Status RunCommand(const Flags& flags, bool explain) {
   if (flags.Has("stall-factor")) {
     job.stall_factor = std::stod(flags.Get("stall-factor"));
   }
-
-  ApplyPlanFlags(flags, &job);
 
   const std::string algorithm = flags.Get("algorithm");
   job.name = "cli-" + algorithm;
@@ -614,7 +600,8 @@ Status RunCommand(const Flags& flags, bool explain) {
     for (const SuperstepStats& s : result.superstep_stats) {
       printf("%-10lld %-8s %-12.4f %-10lld %-10lld %-12llu %-10llu\n",
              static_cast<long long>(s.superstep),
-             s.used_left_outer_join ? "LOJ" : "FOJ", s.sim_seconds,
+             s.plan.join == JoinStrategy::kLeftOuter ? "LOJ" : "FOJ",
+             s.sim_seconds,
              static_cast<long long>(s.live_vertices),
              static_cast<long long>(s.messages),
              static_cast<unsigned long long>(
@@ -759,6 +746,14 @@ int Main(int argc, char** argv) {
     }
     SetLogLevel(level);
   }
+  // Plan hints are validated up front: a misspelt one is a usage error, not
+  // a silently different plan.
+  PregelixJobConfig job;
+  const Status plan_flags = ApplyPlanFlags(flags, &job);
+  if (!plan_flags.ok()) {
+    fprintf(stderr, "bad plan flag: %s\n", plan_flags.message().c_str());
+    return Usage();
+  }
   if (!flags.Has("dfs") && command != "serve" && command != "verify") {
     fprintf(stderr, "--dfs=<root-dir> is required\n");
     return Usage();
@@ -767,11 +762,11 @@ int Main(int argc, char** argv) {
   if (command == "serve") {
     s = ServeCommand(flags);
   } else if (command == "verify") {
-    s = VerifyCommand(flags);
+    s = VerifyCommand(flags, job);
   } else if (command == "run") {
-    s = RunCommand(flags, /*explain=*/false);
+    s = RunCommand(flags, job, /*explain=*/false);
   } else if (command == "explain") {
-    s = RunCommand(flags, /*explain=*/true);
+    s = RunCommand(flags, job, /*explain=*/true);
   } else if (command == "generate") {
     s = GenerateCommand(flags);
   } else if (command == "stats") {

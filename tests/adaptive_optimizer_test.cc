@@ -1,11 +1,10 @@
 // Adaptive plan optimizer suite (DESIGN.md "Adaptive plan optimization").
 //
-// Unit half: the decision functions in isolation — the legacy kAdaptive
-// heuristic (including the message-volume blind spot it used to have), the
-// PlanOptimizer's threshold edges, confirmation streaks, cooldowns, and
-// reactive (stall/spill) switches, all driven by hand-built
-// OptimizerFeedback records; plus admission-time storage resolution and the
-// ResolvePlanDecision fallback paths.
+// Unit half: the decision functions in isolation — the PlanOptimizer's
+// threshold edges, confirmation streaks, cooldowns, and reactive
+// (stall/spill) switches, all driven by hand-built OptimizerFeedback
+// records; plus admission-time storage resolution, ResolvePlanDecision, and
+// the canonical knob spellings.
 //
 // End-to-end half: a connected-components run under all-kAuto knobs on a
 // "lollipop" graph (a star head that converges fast, then a long path tail
@@ -19,10 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algorithms/algorithms.h"
@@ -40,47 +41,14 @@ namespace pregelix {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Legacy kAdaptive heuristic
+// Scan-volume approximation
 
 TEST(ApproxVertexScanBytesTest, TracksGraphShape) {
-  // The constants are a contract: both the legacy heuristic and the
-  // optimizer's message-dominance guard compare message volume against
-  // exactly this approximation.
+  // The constants are a contract: the optimizer's message-dominance guard
+  // compares message volume against exactly this approximation.
   EXPECT_EQ(ApproxVertexScanBytes(0, 0), 0);
   EXPECT_EQ(ApproxVertexScanBytes(1000, 5000), 1000 * 16 + 5000 * 8);
   EXPECT_LT(ApproxVertexScanBytes(100, 100), ApproxVertexScanBytes(100, 200));
-}
-
-TEST(LegacyAdaptiveJoinTest, AlwaysScansInEarlySupersteps) {
-  // Superstep 1: everything is live, nothing is known — scan.
-  EXPECT_EQ(LegacyAdaptiveJoin(0, 1, 1, 0, 1000, 5000),
-            JoinStrategy::kFullOuter);
-  EXPECT_EQ(LegacyAdaptiveJoin(1, 1, 1, 0, 1000, 5000),
-            JoinStrategy::kFullOuter);
-}
-
-TEST(LegacyAdaptiveJoinTest, FrontierFifthOfGraphIsTheScanBoundary) {
-  // frontier * 5 >= |V| keeps the scan; one vertex under flips to probe.
-  EXPECT_EQ(LegacyAdaptiveJoin(5, 100, 100, 0, 1000, 5000),
-            JoinStrategy::kFullOuter);
-  EXPECT_EQ(LegacyAdaptiveJoin(5, 100, 99, 0, 1000, 5000),
-            JoinStrategy::kLeftOuter);
-}
-
-TEST(LegacyAdaptiveJoinTest, MessageVolumeKeepsTheScanOnSparseFrontiers) {
-  // The old heuristic's blind spot: a sparse frontier with heavy fanout
-  // (few destinations, large combined payloads) is message-bound — the
-  // probe join saves the sequential scan but pays a random descent per key
-  // while still moving every message byte. message_bytes*2 >= approx scan
-  // bytes must stay with the merge scan.
-  const int64_t scan = ApproxVertexScanBytes(1000, 5000);  // 56000
-  EXPECT_EQ(LegacyAdaptiveJoin(5, 10, 10, scan / 2, 1000, 5000),
-            JoinStrategy::kFullOuter)
-      << "message-bound superstep picked the probe join (the regression "
-         "this guard exists for)";
-  // Just under the threshold: the probe join is genuinely cheaper.
-  EXPECT_EQ(LegacyAdaptiveJoin(5, 10, 10, scan / 2 - 1, 1000, 5000),
-            JoinStrategy::kLeftOuter);
 }
 
 // ---------------------------------------------------------------------------
@@ -89,9 +57,8 @@ TEST(LegacyAdaptiveJoinTest, MessageVolumeKeepsTheScanOnSparseFrontiers) {
 /// Baseline feedback: 1000 vertices, 5000 edges, negligible message volume.
 /// Scan approximation is 56000 bytes, so the default message-dominance
 /// threshold sits at 28000.
-OptimizerFeedback Feedback(int64_t superstep, int64_t live, int64_t messages) {
+OptimizerFeedback Feedback(int64_t live, int64_t messages) {
   OptimizerFeedback fb;
-  fb.superstep = superstep;
   fb.num_vertices = 1000;
   fb.num_edges = 5000;
   fb.live_vertices = live;
@@ -115,9 +82,9 @@ TEST(PlanOptimizerTest, DefaultsBeforeAnyFeedback) {
 
 TEST(PlanOptimizerTest, JoinSwitchRequiresConfirmationStreak) {
   PlanOptimizer opt;
-  opt.Observe(Feedback(1, 50, 50));  // ratio 0.1 < 0.20
+  opt.Observe(Feedback(50, 50));  // ratio 0.1 < 0.20
   EXPECT_EQ(opt.Decide(2).join, JoinStrategy::kFullOuter) << "streak of 1";
-  opt.Observe(Feedback(2, 50, 50));
+  opt.Observe(Feedback(50, 50));
   EXPECT_EQ(opt.Decide(3).join, JoinStrategy::kLeftOuter) << "streak of 2";
   EXPECT_EQ(opt.switch_count(), 1);
   EXPECT_FALSE(opt.last_reactive());
@@ -128,7 +95,7 @@ TEST(PlanOptimizerTest, SparseBoundaryIsExclusive) {
   PlanOptimizer opt;
   // ratio == sparse_frontier_ratio exactly (200/1000 = 0.20): not sparse.
   for (int64_t ss = 1; ss <= 6; ++ss) {
-    opt.Observe(Feedback(ss, 100, 100));
+    opt.Observe(Feedback(100, 100));
     EXPECT_EQ(opt.Decide(ss + 1).join, JoinStrategy::kFullOuter)
         << "superstep " << ss + 1;
   }
@@ -137,23 +104,23 @@ TEST(PlanOptimizerTest, SparseBoundaryIsExclusive) {
 
 TEST(PlanOptimizerTest, HysteresisBandHoldsTheProbeJoin) {
   PlanOptimizer opt;
-  opt.Observe(Feedback(1, 50, 50));
+  opt.Observe(Feedback(50, 50));
   opt.Decide(2);
-  opt.Observe(Feedback(2, 50, 50));
+  opt.Observe(Feedback(50, 50));
   ASSERT_EQ(opt.Decide(3).join, JoinStrategy::kLeftOuter);
 
   // Ratio 0.30 sits inside the [0.20, 0.35] band: no backswitch, ever.
   for (int64_t ss = 3; ss <= 8; ++ss) {
-    opt.Observe(Feedback(ss, 200, 100));
+    opt.Observe(Feedback(200, 100));
     EXPECT_EQ(opt.Decide(ss + 1).join, JoinStrategy::kLeftOuter)
         << "band ratio flapped at superstep " << ss + 1;
   }
   EXPECT_EQ(opt.switch_count(), 1);
 
   // Ratio 0.50 is past the dense edge: back to the scan after the streak.
-  opt.Observe(Feedback(9, 400, 100));
+  opt.Observe(Feedback(400, 100));
   EXPECT_EQ(opt.Decide(10).join, JoinStrategy::kLeftOuter);
-  opt.Observe(Feedback(10, 400, 100));
+  opt.Observe(Feedback(400, 100));
   EXPECT_EQ(opt.Decide(11).join, JoinStrategy::kFullOuter);
   EXPECT_EQ(opt.switch_count(), 2);
 }
@@ -161,7 +128,7 @@ TEST(PlanOptimizerTest, HysteresisBandHoldsTheProbeJoin) {
 TEST(PlanOptimizerTest, MessageVolumeBlocksTheProbeJoin) {
   PlanOptimizer opt;
   for (int64_t ss = 1; ss <= 6; ++ss) {
-    OptimizerFeedback fb = Feedback(ss, 25, 25);  // ratio 0.05: very sparse
+    OptimizerFeedback fb = Feedback(25, 25);  // ratio 0.05: very sparse
     fb.message_bytes = 30000;                     // >= 0.5 * 56000: dominant
     opt.Observe(fb);
     EXPECT_EQ(opt.Decide(ss + 1).join, JoinStrategy::kFullOuter)
@@ -174,7 +141,7 @@ TEST(PlanOptimizerTest, StallSwitchesReactivelyButRespectsCooldown) {
   PlanOptimizer opt;
   // Ratio 0.30 would not proactively switch (inside the band), but a stall
   // relaxes the edge and skips the confirmation streak.
-  OptimizerFeedback fb = Feedback(1, 200, 100);
+  OptimizerFeedback fb = Feedback(200, 100);
   fb.stalled = true;
   opt.Observe(fb);
   EXPECT_EQ(opt.Decide(2).join, JoinStrategy::kLeftOuter);
@@ -184,13 +151,13 @@ TEST(PlanOptimizerTest, StallSwitchesReactivelyButRespectsCooldown) {
   // The new plan stalls too at a dense ratio: wants to switch back
   // reactively, but the cooldown pins the knob until superstep 5.
   for (int64_t ss = 2; ss <= 3; ++ss) {
-    OptimizerFeedback dense = Feedback(ss, 400, 100);
+    OptimizerFeedback dense = Feedback(400, 100);
     dense.stalled = true;
     opt.Observe(dense);
     EXPECT_EQ(opt.Decide(ss + 1).join, JoinStrategy::kLeftOuter)
         << "cooldown violated at superstep " << ss + 1;
   }
-  OptimizerFeedback dense = Feedback(4, 400, 100);
+  OptimizerFeedback dense = Feedback(400, 100);
   dense.stalled = true;
   opt.Observe(dense);
   EXPECT_EQ(opt.Decide(5).join, JoinStrategy::kFullOuter);
@@ -203,8 +170,8 @@ TEST(PlanOptimizerTest, AlternatingSignalNeverConfirms) {
   // Adversarial feed: the frontier alternates sparse/dense every superstep.
   // The confirmation streak resets on every flip, so the plan never moves.
   for (int64_t ss = 1; ss <= 12; ++ss) {
-    opt.Observe(ss % 2 == 1 ? Feedback(ss, 25, 25)     // ratio 0.05
-                            : Feedback(ss, 900, 50));  // ratio 0.95
+    opt.Observe(ss % 2 == 1 ? Feedback(25, 25)     // ratio 0.05
+                            : Feedback(900, 50));  // ratio 0.95
     EXPECT_EQ(opt.Decide(ss + 1).join, JoinStrategy::kFullOuter)
         << "oscillating signal switched the join at superstep " << ss + 1;
   }
@@ -219,7 +186,7 @@ TEST(PlanOptimizerTest, GroupBySpillDemotesHashAndReductionRepromotes) {
   // Spill bytes past the budget: reactive demotion from the optimistic
   // hash start to sort (which degrades gracefully to runs), in a single
   // superstep — no confirmation streak needed.
-  OptimizerFeedback spilled = Feedback(1, 500, 100);
+  OptimizerFeedback spilled = Feedback(500, 100);
   spilled.spill_count = 3;
   spilled.spill_bytes = 3u << 20;  // 3x the budget
   opt.Observe(spilled);
@@ -230,11 +197,10 @@ TEST(PlanOptimizerTest, GroupBySpillDemotesHashAndReductionRepromotes) {
   // Re-promotion must be earned: the combiner folds 10:1 with nothing
   // spilling, but the switch waits for the cooldown (pinned through
   // superstep 4) plus the two-superstep confirmation streak.
-  OptimizerFeedback fb = Feedback(2, 500, 100);
+  OptimizerFeedback fb = Feedback(500, 100);
   fb.combine_tuples_in = 1000;
   fb.combine_tuples_out = 100;
   for (int64_t ss = 2; ss <= 5; ++ss) {
-    fb.superstep = ss;
     opt.Observe(fb);
     EXPECT_EQ(opt.Decide(ss + 1).groupby,
               ss < 5 ? GroupByStrategy::kSort : GroupByStrategy::kHashSort)
@@ -247,18 +213,17 @@ TEST(PlanOptimizerTest, GroupByStaysSortWithoutReductionEvidence) {
   PlanOptimizerOptions opts;
   opts.groupby_memory_bytes = 1u << 20;
   PlanOptimizer opt(opts);
-  OptimizerFeedback spilled = Feedback(1, 500, 100);
+  OptimizerFeedback spilled = Feedback(500, 100);
   spilled.spill_bytes = 3u << 20;
   opt.Observe(spilled);
   ASSERT_EQ(opt.Decide(2).groupby, GroupByStrategy::kSort);
 
   // Clean supersteps but a combiner that barely folds (1.5:1, below the
   // 2.0 re-promotion threshold): sort holds indefinitely.
-  OptimizerFeedback weak = Feedback(2, 500, 100);
+  OptimizerFeedback weak = Feedback(500, 100);
   weak.combine_tuples_in = 300;
   weak.combine_tuples_out = 200;
   for (int64_t ss = 2; ss <= 10; ++ss) {
-    weak.superstep = ss;
     opt.Observe(weak);
     EXPECT_EQ(opt.Decide(ss + 1).groupby, GroupByStrategy::kSort)
         << "superstep " << ss + 1;
@@ -269,12 +234,11 @@ TEST(PlanOptimizerTest, ConnectorBackswitchNeedsTheLoadToHalve) {
   PlanOptimizer opt;
   // Heavy combine-op skew prefers the merged (sender-materializing)
   // connector; no spill and no stall, so this is a proactive streak switch.
-  OptimizerFeedback skewed = Feedback(1, 500, 100);
+  OptimizerFeedback skewed = Feedback(500, 100);
   skewed.groupby_skew = 5.0;
   skewed.message_bytes = 1000;
   opt.Observe(skewed);
   EXPECT_EQ(opt.Decide(2).connector, GroupByConnector::kUnmerged);
-  skewed.superstep = 2;
   opt.Observe(skewed);
   EXPECT_EQ(opt.Decide(3).connector, GroupByConnector::kMerged);
   EXPECT_FALSE(opt.last_reactive());
@@ -283,7 +247,7 @@ TEST(PlanOptimizerTest, ConnectorBackswitchNeedsTheLoadToHalve) {
   // switch time: the merged connector hides the signal that caused the
   // switch, so the backswitch demands the load halve. Stays merged.
   for (int64_t ss = 3; ss <= 8; ++ss) {
-    OptimizerFeedback clean = Feedback(ss, 500, 100);
+    OptimizerFeedback clean = Feedback(500, 100);
     clean.message_bytes = 600;
     opt.Observe(clean);
     EXPECT_EQ(opt.Decide(ss + 1).connector, GroupByConnector::kMerged)
@@ -291,28 +255,13 @@ TEST(PlanOptimizerTest, ConnectorBackswitchNeedsTheLoadToHalve) {
   }
 
   // Load at 400 (< half of 1000): backswitch after the streak.
-  OptimizerFeedback light = Feedback(9, 500, 100);
+  OptimizerFeedback light = Feedback(500, 100);
   light.message_bytes = 400;
   opt.Observe(light);
   EXPECT_EQ(opt.Decide(10).connector, GroupByConnector::kMerged);
-  light.superstep = 10;
   opt.Observe(light);
   EXPECT_EQ(opt.Decide(11).connector, GroupByConnector::kUnmerged);
   EXPECT_EQ(opt.last_reason(), "load-drop");
-}
-
-TEST(PlanOptimizerTest, DecideIsMemoizedPerSuperstep) {
-  PlanOptimizer opt;
-  opt.Observe(Feedback(1, 50, 50));  // sparse: wants the probe join
-  // The driver resolves the plan twice per superstep (publish path + job
-  // build); repeated Decide calls must not advance the streak.
-  EXPECT_EQ(opt.Decide(2).join, JoinStrategy::kFullOuter);
-  EXPECT_EQ(opt.Decide(2).join, JoinStrategy::kFullOuter);
-  EXPECT_EQ(opt.Decide(2).join, JoinStrategy::kFullOuter);
-  opt.Observe(Feedback(2, 50, 50));
-  EXPECT_EQ(opt.Decide(3).join, JoinStrategy::kLeftOuter)
-      << "streak should reach the confirm threshold exactly at the second "
-         "superstep";
 }
 
 TEST(PlanOptimizerTest, OverrideHookForcesAdversarialPlans) {
@@ -334,7 +283,7 @@ TEST(PlanOptimizerTest, OverrideHookForcesAdversarialPlans) {
 }
 
 // ---------------------------------------------------------------------------
-// Resolution helpers (storage admission, ResolvePlanDecision fallbacks)
+// Resolution helpers (storage admission, ResolvePlanDecision)
 
 /// Minimal program whose only interesting property is MutatesGraph().
 class FakeProgram : public PregelProgram {
@@ -377,31 +326,6 @@ TEST(ResolveStorageTest, AutoPicksLsmForMutatingPrograms) {
   EXPECT_EQ(ResolveStorageAtAdmission(ctx), VertexStorage::kBTree);
 }
 
-TEST(ResolvePlanDecisionTest, AutoWithoutOptimizerFallsBackToLegacy) {
-  // Direct BuildSuperstepJob callers (plan-generator unit tests) and a
-  // recovering driver have no optimizer yet: kAuto must still resolve
-  // deterministically, via the legacy heuristic and the plan defaults.
-  PregelixJobConfig cfg;
-  cfg.join = JoinStrategy::kAuto;
-  cfg.groupby = GroupByStrategy::kAuto;
-  cfg.groupby_connector = GroupByConnector::kAuto;
-  JobRuntimeContext ctx;
-  ctx.job_config = &cfg;
-  ctx.current_superstep = 3;
-  ctx.gs.num_vertices = 1000;
-  ctx.gs.num_edges = 5000;
-  ctx.gs.live_vertices = 10;
-  ctx.gs.messages = 10;
-
-  const PlanDecision d = ResolvePlanDecision(&ctx);
-  EXPECT_EQ(d.join, JoinStrategy::kLeftOuter);  // sparse, message-light
-  EXPECT_EQ(d.groupby, GroupByStrategy::kHashSort);  // optimistic default
-  EXPECT_EQ(d.connector, GroupByConnector::kUnmerged);
-  EXPECT_EQ(ctx.current_join, d.join);
-  EXPECT_EQ(ctx.current_groupby, d.groupby);
-  EXPECT_EQ(ctx.current_connector, d.connector);
-}
-
 TEST(ResolvePlanDecisionTest, StaticHintsWinOverTheOptimizer) {
   PregelixJobConfig cfg;
   cfg.join = JoinStrategy::kLeftOuter;
@@ -416,18 +340,57 @@ TEST(ResolvePlanDecisionTest, StaticHintsWinOverTheOptimizer) {
   EXPECT_EQ(d.join, JoinStrategy::kLeftOuter);
   EXPECT_EQ(d.groupby, GroupByStrategy::kHashSort);  // the kAuto knob
   EXPECT_EQ(d.connector, GroupByConnector::kMerged);
+  EXPECT_EQ(ctx.plan, d);
+}
+
+/// Every enumerator of a knob parses back from its canonical spelling, and
+/// near-misses are rejected with a message naming every accepted spelling.
+template <typename Enum>
+void ExpectRoundTrip(std::initializer_list<Enum> all,
+                     const char* (*to_name)(Enum),
+                     Status (*parse)(std::string_view, Enum*),
+                     const std::string& typo) {
+  for (Enum e : all) {
+    Enum parsed{};
+    ASSERT_TRUE(parse(to_name(e), &parsed).ok()) << to_name(e);
+    EXPECT_EQ(parsed, e) << to_name(e);
+  }
+  for (const std::string& bad : {std::string("adaptive"), std::string(),
+                                 typo}) {
+    Enum parsed = *all.begin();
+    const Status s = parse(bad, &parsed);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+        << "'" << bad << "' was accepted";
+    EXPECT_EQ(parsed, *all.begin()) << "'" << bad << "' clobbered the output";
+    for (Enum e : all) {
+      EXPECT_NE(s.message().find(to_name(e)), std::string::npos)
+          << s.message();
+    }
+  }
 }
 
 TEST(PlanNamesTest, CanonicalSpellings) {
   EXPECT_STREQ(JoinStrategyName(JoinStrategy::kFullOuter), "fullouter");
   EXPECT_STREQ(JoinStrategyName(JoinStrategy::kLeftOuter), "leftouter");
-  EXPECT_STREQ(JoinStrategyName(JoinStrategy::kAdaptive), "adaptive");
   EXPECT_STREQ(JoinStrategyName(JoinStrategy::kAuto), "auto");
   EXPECT_STREQ(GroupByStrategyName(GroupByStrategy::kHashSort), "hashsort");
   EXPECT_STREQ(GroupByConnectorName(GroupByConnector::kMerged), "merged");
   EXPECT_STREQ(VertexStorageName(VertexStorage::kLsmBTree), "lsm");
   PlanDecision d;
   EXPECT_EQ(PlanDecisionString(d), "fullouter/sort/unmerged");
+
+  ExpectRoundTrip({JoinStrategy::kFullOuter, JoinStrategy::kLeftOuter,
+                   JoinStrategy::kAuto},
+                  JoinStrategyName, ParseJoinStrategy, "leftouterr");
+  ExpectRoundTrip({GroupByStrategy::kSort, GroupByStrategy::kHashSort,
+                   GroupByStrategy::kAuto},
+                  GroupByStrategyName, ParseGroupByStrategy, "hash");
+  ExpectRoundTrip({GroupByConnector::kUnmerged, GroupByConnector::kMerged,
+                   GroupByConnector::kAuto},
+                  GroupByConnectorName, ParseGroupByConnector, "Merged");
+  ExpectRoundTrip({VertexStorage::kBTree, VertexStorage::kLsmBTree,
+                   VertexStorage::kAuto},
+                  VertexStorageName, ParseVertexStorage, "lsmbtree");
 }
 
 // ---------------------------------------------------------------------------

@@ -302,7 +302,7 @@ TEST_F(AlgorithmsTest, AdaptiveJoinSwitchesPlansAndStaysCorrect) {
   PregelixJobConfig job;
   job.name = "adaptive";
   job.input_dir = "ad-in";
-  job.join = JoinStrategy::kAdaptive;
+  job.join = JoinStrategy::kAuto;
   JobResult result;
   auto output = RunAndDump(&adapter, job, &result);
   for (auto& [vid, value] : output) {
@@ -315,10 +315,37 @@ TEST_F(AlgorithmsTest, AdaptiveJoinSwitchesPlansAndStaysCorrect) {
   // SSSP's sparse frontier must trip the adaptive switch to left outer.
   bool saw_foj = false, saw_loj = false;
   for (const SuperstepStats& stats : result.superstep_stats) {
-    (stats.used_left_outer_join ? saw_loj : saw_foj) = true;
+    (stats.plan.join == JoinStrategy::kLeftOuter ? saw_loj : saw_foj) = true;
   }
   EXPECT_TRUE(saw_foj) << "superstep 1 should scan (everything live)";
   EXPECT_TRUE(saw_loj) << "sparse frontier should switch to probing";
+}
+
+TEST_F(AlgorithmsTest, AutoStatsRecordTheResolvedPlan) {
+  GraphStats stats;
+  ASSERT_TRUE(GenerateBtcLike(dfs_, "au-in", 3, 800, 6.0, 12, &stats).ok());
+  SsspProgram program(0);
+  SsspProgram::Adapter adapter(&program);
+  PregelixJobConfig job;
+  job.name = "auto-record";
+  job.input_dir = "au-in";
+  job.join = JoinStrategy::kAuto;
+  job.groupby = GroupByStrategy::kAuto;
+  job.groupby_connector = GroupByConnector::kAuto;
+  JobResult result;
+  ASSERT_TRUE(runtime_->Run(&adapter, job, &result).ok());
+  // The plan is resolved once per superstep: the stats and the decision
+  // trail are two views of that one record, including across switches.
+  ASSERT_EQ(result.superstep_stats.size(), result.plan_decisions.size());
+  int switches = 0;
+  for (size_t i = 0; i < result.superstep_stats.size(); ++i) {
+    EXPECT_EQ(result.superstep_stats[i].superstep,
+              result.plan_decisions[i].superstep);
+    EXPECT_EQ(result.superstep_stats[i].plan, result.plan_decisions[i].plan)
+        << "superstep " << result.superstep_stats[i].superstep;
+    if (!result.plan_decisions[i].switched.empty()) ++switches;
+  }
+  EXPECT_GT(switches, 0) << "no switch: the check above proved little";
 }
 
 TEST_F(AlgorithmsTest, AdaptiveJoinStaysFullOuterForPageRank) {
@@ -329,12 +356,12 @@ TEST_F(AlgorithmsTest, AdaptiveJoinStaysFullOuterForPageRank) {
   PregelixJobConfig job;
   job.name = "adaptive-pr";
   job.input_dir = "ad-pr";
-  job.join = JoinStrategy::kAdaptive;
+  job.join = JoinStrategy::kAuto;
   JobResult result;
   ASSERT_TRUE(runtime_->Run(&adapter, job, &result).ok());
   // Every vertex stays live until the final vote: never switch.
   for (const SuperstepStats& stats : result.superstep_stats) {
-    EXPECT_FALSE(stats.used_left_outer_join)
+    EXPECT_EQ(stats.plan.join, JoinStrategy::kFullOuter)
         << "superstep " << stats.superstep;
   }
 }

@@ -122,7 +122,7 @@ TEST(ExplainTest, ProfileCollectedWithPaperLabels) {
 
 TEST(ExplainTest, TupleConservationAcrossEveryConnector) {
   TestEnv run;
-  const JobResult result = run.Sssp(JoinStrategy::kAdaptive);
+  const JobResult result = run.Sssp(JoinStrategy::kAuto);
   ASSERT_NE(result.plan_profile, nullptr);
 
   // Cumulative and per-superstep: what a connector's producers appended is

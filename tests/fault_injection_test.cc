@@ -7,8 +7,11 @@
 #include <string>
 #include <vector>
 
+#include "algorithms/algorithms.h"
 #include "common/event_journal.h"
 #include "common/temp_dir.h"
+#include "dataflow/cluster.h"
+#include "dataflow/job.h"
 #include "io/file.h"
 #include "pregel/plan_optimizer.h"
 #include "pregel/state.h"
@@ -211,13 +214,25 @@ TEST_F(FaultInjectionTest, PlanSwitchBoundaryIsAFaultPoint) {
     return true;
   });
 
+  // ResolveAndPublishPlan also builds the superstep job, which needs a
+  // cluster and a program to plan for.
+  TempDir dir("plan-switch-fault");
+  ClusterConfig cluster_config;
+  cluster_config.num_workers = 1;
+  cluster_config.temp_root = dir.Sub("cluster");
+  SimulatedCluster cluster(cluster_config);
+  ConnectedComponentsProgram program;
+  ConnectedComponentsProgram::Adapter adapter(&program);
+
   PregelixJobConfig cfg;
   cfg.name = "plan-switch-fault";
   cfg.join = JoinStrategy::kAuto;
   cfg.groupby = GroupByStrategy::kAuto;
   cfg.groupby_connector = GroupByConnector::kAuto;
   JobRuntimeContext ctx;
+  ctx.program = &adapter;
   ctx.job_config = &cfg;
+  ctx.cluster = &cluster;
   ctx.job_id = "plan-switch-fault";
   ctx.optimizer = std::make_shared<PlanOptimizer>();
 
@@ -228,8 +243,9 @@ TEST_F(FaultInjectionTest, PlanSwitchBoundaryIsAFaultPoint) {
   // Superstep 1 has no previous plan: nothing switches, the armed point
   // stays quiet.
   PlanDecisionRecord record;
+  JobSpec job_spec;
   ctx.current_superstep = 1;
-  EXPECT_TRUE(ResolveAndPublishPlan(&ctx, nullptr, &record).ok());
+  EXPECT_TRUE(ResolveAndPublishPlan(&ctx, nullptr, &record, &job_spec).ok());
   EXPECT_TRUE(record.switched.empty());
   EXPECT_EQ(FaultInjector::Global().Stats("pregel.plan.switch").fires, 0u);
 
@@ -237,16 +253,16 @@ TEST_F(FaultInjectionTest, PlanSwitchBoundaryIsAFaultPoint) {
   // switch is never journaled.
   const uint64_t since = EventJournal::Global().last_seq();
   ctx.current_superstep = 2;
-  Status s = ResolveAndPublishPlan(&ctx, nullptr, &record);
+  Status s = ResolveAndPublishPlan(&ctx, nullptr, &record, &job_spec);
   EXPECT_TRUE(s.IsAborted()) << s.ToString();
   EXPECT_TRUE(fault::IsSimulatedCrash(s));
   for (const JournalEvent& e : EventJournal::Global().SnapshotSince(since)) {
     EXPECT_NE(e.category, "plan.switch") << "crashed switch was journaled";
   }
 
-  // Disarmed, the retried (memoized) decision publishes the same switch.
+  // Disarmed, the retried decision publishes the same switch.
   FaultInjector::Global().Reset();
-  EXPECT_TRUE(ResolveAndPublishPlan(&ctx, nullptr, &record).ok());
+  EXPECT_TRUE(ResolveAndPublishPlan(&ctx, nullptr, &record, &job_spec).ok());
   EXPECT_EQ(record.switched, "join");
   bool journaled = false;
   for (const JournalEvent& e : EventJournal::Global().SnapshotSince(since)) {

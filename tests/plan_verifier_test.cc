@@ -455,11 +455,10 @@ TEST_F(GeneratedPlansTest, AllSixteenMatrixPlansVerifyClean) {
           job_.groupby_connector = conn;
           job_.storage = storage;
           ctx_.current_storage = storage;
+          ResolvePlanDecision(&ctx_);
           const JobSpec spec = BuildSuperstepJob(&ctx_);
-          const PlanDecision d{ctx_.current_join, ctx_.current_groupby,
-                               ctx_.current_connector};
-          ExpectClean(spec, "superstep " + PlanDecisionString(d) + "/" +
-                                VertexStorageName(storage));
+          ExpectClean(spec, "superstep " + PlanDecisionString(ctx_.plan) +
+                                "/" + VertexStorageName(storage));
         }
       }
     }
@@ -496,11 +495,9 @@ TEST_F(GeneratedPlansTest, EveryAutoSwitchTargetVerifiesClean) {
               d->connector = conn;
               return true;
             });
-        ctx_.current_superstep++;  // Decide() memoizes per superstep
+        ResolvePlanDecision(&ctx_);
         const JobSpec spec = BuildSuperstepJob(&ctx_);
-        const PlanDecision d{ctx_.current_join, ctx_.current_groupby,
-                             ctx_.current_connector};
-        ExpectClean(spec, "kAuto switch to " + PlanDecisionString(d));
+        ExpectClean(spec, "kAuto switch to " + PlanDecisionString(ctx_.plan));
       }
     }
   }
@@ -574,7 +571,7 @@ TEST(VerifierFallbackEndToEndTest, RejectedSwitchKeepsThePreviousPlan) {
     return true;
   });
   SetSuperstepSpecTamperForTesting([](JobRuntimeContext* ctx, JobSpec* spec) {
-    if (ctx->current_connector != GroupByConnector::kMerged) return;
+    if (ctx->plan.connector != GroupByConnector::kMerged) return;
     ConnectorSpec dup = spec->connectors()[0];
     spec->Connect(dup);  // duplicate writer + duplicate output binding
   });

@@ -77,7 +77,7 @@ TEST_F(PlansTest, SuperstepJobHasFourOperatorsAndThreeFlows) {
 }
 
 TEST_F(PlansTest, MergedConnectorHintSelectsMergingKind) {
-  job_.groupby_connector = GroupByConnector::kMerged;
+  ctx_.plan.connector = GroupByConnector::kMerged;
   JobSpec spec = BuildSuperstepJob(&ctx_);
   const ConnectorSpec* msgs = FindConnector(spec, 0);
   ASSERT_NE(msgs, nullptr);
@@ -85,32 +85,12 @@ TEST_F(PlansTest, MergedConnectorHintSelectsMergingKind) {
 }
 
 TEST_F(PlansTest, JoinHintSelectsComputeOperator) {
-  job_.join = JoinStrategy::kFullOuter;
+  ctx_.plan.join = JoinStrategy::kFullOuter;
   EXPECT_EQ(BuildSuperstepJob(&ctx_).ops()[0].descriptor->name(),
             "compute-full-outer-join");
-  job_.join = JoinStrategy::kLeftOuter;
+  ctx_.plan.join = JoinStrategy::kLeftOuter;
   EXPECT_EQ(BuildSuperstepJob(&ctx_).ops()[0].descriptor->name(),
             "compute-left-outer-join");
-}
-
-TEST_F(PlansTest, AdaptiveJoinResolvesFromStatistics) {
-  job_.join = JoinStrategy::kAdaptive;
-  // Dense frontier: stay with the scan.
-  ctx_.gs.live_vertices = 800;
-  ctx_.gs.messages = 0;
-  EXPECT_EQ(BuildSuperstepJob(&ctx_).ops()[0].descriptor->name(),
-            "compute-full-outer-join");
-  EXPECT_EQ(ctx_.current_join, JoinStrategy::kFullOuter);
-  // Sparse frontier: switch to probing.
-  ctx_.gs.live_vertices = 10;
-  ctx_.gs.messages = 15;
-  EXPECT_EQ(BuildSuperstepJob(&ctx_).ops()[0].descriptor->name(),
-            "compute-left-outer-join");
-  EXPECT_EQ(ctx_.current_join, JoinStrategy::kLeftOuter);
-  // Superstep 1 always scans (everything starts live).
-  ctx_.current_superstep = 1;
-  EXPECT_EQ(BuildSuperstepJob(&ctx_).ops()[0].descriptor->name(),
-            "compute-full-outer-join");
 }
 
 TEST_F(PlansTest, LoadJobScansThenPartitionsThenBulkLoads) {
