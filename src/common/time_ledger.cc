@@ -84,17 +84,6 @@ int64_t TimeLedgerSnapshot::attributed_ns() const {
   return sum;
 }
 
-std::map<std::string, int64_t> TimeLedgerSnapshot::ByLabel(
-    TimeCategory c) const {
-  std::map<std::string, int64_t> out;
-  for (const Cell& cell : cells) {
-    if (cell.label.empty()) continue;
-    const int64_t v = cell.ns[static_cast<int>(c)];
-    if (v != 0) out[cell.label] += v;
-  }
-  return out;
-}
-
 namespace ledger_internal {
 
 /// Per-thread accounting state. The owner thread is the only writer of
@@ -423,16 +412,6 @@ void TimeLedger::WritePrometheus(std::ostream& os) const {
     os << "pregelix_lock_wait_seconds_total{lock=\"" << snap.locks[i].name
        << "\"} ";
     AppendSeconds(os, snap.locks[i].ns);
-    os << '\n';
-  }
-  const std::map<std::string, int64_t> io_wait =
-      snap.ByLabel(TimeCategory::kIoWait);
-  os << "# HELP pregelix_io_wait_seconds_total I/O wait by operator "
-        "(the ledger io_wait bucket, per-operator).\n"
-        "# TYPE pregelix_io_wait_seconds_total counter\n";
-  for (const auto& [label, ns] : io_wait) {
-    os << "pregelix_io_wait_seconds_total{operator=\"" << label << "\"} ";
-    AppendSeconds(os, ns);
     os << '\n';
   }
 }

@@ -115,9 +115,6 @@ struct TimeLedgerSnapshot {
   int64_t ns(TimeCategory c) const {
     return category_ns[static_cast<int>(c)];
   }
-  /// Σ of one category over cells whose label is non-empty, by label
-  /// (the per-operator io_wait export).
-  std::map<std::string, int64_t> ByLabel(TimeCategory c) const;
 };
 
 /// Process-wide time ledger. All mutation goes through the static
@@ -188,9 +185,8 @@ class TimeLedger {
   /// input format.
   void WriteCollapsed(std::ostream& os) const;
   /// Prometheus text exposition appended after the registry's:
-  /// `pregelix_time_seconds_total{category,worker}`,
-  /// `pregelix_lock_wait_seconds_total{lock}` (top-k by wait time), and
-  /// `pregelix_io_wait_seconds_total{operator}`.
+  /// `pregelix_time_seconds_total{category,worker}` and
+  /// `pregelix_lock_wait_seconds_total{lock}` (top-k by wait time).
   void WritePrometheus(std::ostream& os) const;
 
   /// Drops all folded time, lock rows, and residue counters (tests).

@@ -60,7 +60,15 @@ Tracer::Tracer()
 Tracer::~Tracer() = default;
 
 uint64_t Tracer::NowMicros() const {
-  return (SteadyNanos() - epoch_ns_) / 1000;
+  return MicrosAt(std::chrono::steady_clock::now());
+}
+
+uint64_t Tracer::MicrosAt(std::chrono::steady_clock::time_point t) const {
+  const uint64_t ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          t.time_since_epoch())
+          .count());
+  return (ns - epoch_ns_) / 1000;
 }
 
 Tracer::ThreadBuffer* Tracer::GetThreadBuffer() {

@@ -2,6 +2,7 @@
 #define PREGELIX_COMMON_TRACE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <ostream>
@@ -9,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -17,7 +17,7 @@
 // Operator-level tracing for the dataflow / storage / Pregel stack.
 //
 // A Tracer records nested spans (name, category, worker, start, duration,
-// counter deltas) into per-thread buffers: a recording thread appends to a
+// integer args) into per-thread buffers: a recording thread appends to a
 // buffer only it writes, so the hot path takes no shared lock (the registry
 // lock is paid once per thread, when its buffer is created). Export produces
 // either Chrome `trace_event` JSON — loadable in chrome://tracing and
@@ -46,7 +46,7 @@ inline constexpr const char* kPregel = "pregel";
 inline constexpr int kTraceDriverWorker = -1;
 
 /// One completed span. `args` carries small integer annotations (superstep
-/// number, counter deltas, tuple counts) into the Chrome `args` object.
+/// number, tuple and byte counts) into the Chrome `args` object.
 struct TraceEvent {
   std::string name;
   const char* category = trace_cat::kDataflow;
@@ -65,13 +65,23 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Runtime switch. Spans started while disabled record nothing.
+  /// Runtime switch. Spans started while disabled record nothing; a
+  /// -DPREGELIX_DISABLE_TRACING build never reports enabled.
   void Enable() { enabled_.store(true, std::memory_order_relaxed); }
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  bool enabled() const {
+#ifdef PREGELIX_DISABLE_TRACING
+    return false;
+#else
+    return enabled_.load(std::memory_order_relaxed);
+#endif
+  }
 
   /// Microseconds since this tracer was constructed (the trace timebase).
   uint64_t NowMicros() const;
+  /// `t` on the trace timebase, for spans timed by the caller's own clock
+  /// samples.
+  uint64_t MicrosAt(std::chrono::steady_clock::time_point t) const;
 
   /// Appends one finished event to the calling thread's buffer.
   void Record(TraceEvent event);
@@ -128,15 +138,13 @@ class TraceSpan {
  public:
 #ifndef PREGELIX_DISABLE_TRACING
   TraceSpan(Tracer* tracer, std::string name, const char* category,
-            int worker, const WorkerMetrics* metrics = nullptr)
+            int worker)
       : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr) {
     if (tracer_ == nullptr) return;
     event_.name = std::move(name);
     event_.category = category;
     event_.worker = worker;
     event_.start_us = tracer_->NowMicros();
-    metrics_ = metrics;
-    if (metrics_ != nullptr) entry_ = metrics_->Snapshot();
   }
 
   ~TraceSpan() { End(); }
@@ -148,27 +156,10 @@ class TraceSpan {
 
   bool active() const { return tracer_ != nullptr; }
 
-  /// Ends the span early (idempotent). Counter deltas against the entry
-  /// snapshot are appended as args when a meter was supplied.
+  /// Ends the span early (idempotent).
   void End() {
     if (tracer_ == nullptr) return;
     event_.duration_us = tracer_->NowMicros() - event_.start_us;
-    if (metrics_ != nullptr) {
-      const MetricsSnapshot d = metrics_->Snapshot() - entry_;
-      if (d.cpu_ops != 0) AddArg("cpu_ops", static_cast<int64_t>(d.cpu_ops));
-      if (d.disk_read_bytes != 0) {
-        AddArg("disk_read_bytes", static_cast<int64_t>(d.disk_read_bytes));
-      }
-      if (d.disk_write_bytes != 0) {
-        AddArg("disk_write_bytes", static_cast<int64_t>(d.disk_write_bytes));
-      }
-      if (d.disk_seeks != 0) {
-        AddArg("disk_seeks", static_cast<int64_t>(d.disk_seeks));
-      }
-      if (d.net_bytes != 0) {
-        AddArg("net_bytes", static_cast<int64_t>(d.net_bytes));
-      }
-    }
     Tracer* t = tracer_;
     tracer_ = nullptr;
     t->Record(std::move(event_));
@@ -176,12 +167,9 @@ class TraceSpan {
 
  private:
   Tracer* tracer_ = nullptr;
-  const WorkerMetrics* metrics_ = nullptr;
-  MetricsSnapshot entry_;
   TraceEvent event_;
 #else
-  TraceSpan(Tracer*, std::string, const char*, int,
-            const WorkerMetrics* = nullptr) {}
+  TraceSpan(Tracer*, std::string, const char*, int) {}
   void AddArg(const char*, int64_t) {}
   bool active() const { return false; }
   void End() {}

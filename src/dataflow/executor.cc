@@ -21,44 +21,29 @@ namespace pregelix {
 
 namespace {
 
+/// Meters one frame an input hands to its operator; the tuple count comes
+/// from the frame trailer.
+void CountFrame(const std::string& frame, ConnectorStats* stats) {
+  FrameTupleAccessor accessor(/*field_count=*/0);
+  accessor.Reset(Slice(frame));
+  stats->AddFrame(static_cast<uint64_t>(accessor.tuple_count()),
+                  frame.size());
+}
+
 /// Plain queue receiver.
 class QueueSource : public FrameSource {
  public:
-  explicit QueueSource(FrameChannel* channel) : channel_(channel) {}
-  bool Next(std::string* frame) override { return channel_->Get(frame); }
-
- private:
-  FrameChannel* channel_;
-};
-
-/// Profiling decorator over an operator input: meters frames/bytes/tuples
-/// into the consumer's OperatorProfile and the receive side of the
-/// connector's EdgeProfile. Only instantiated when the job is profiled.
-class ProfilingSource : public FrameSource {
- public:
-  ProfilingSource(std::unique_ptr<FrameSource> inner, int field_count,
-                  OperatorProfile* op, EdgeProfile* edge)
-      : inner_(std::move(inner)),
-        accessor_(field_count),
-        op_(op),
-        edge_(edge) {}
-
+  QueueSource(FrameChannel* channel, ConnectorStats* stats)
+      : channel_(channel), stats_(stats) {}
   bool Next(std::string* frame) override {
-    if (!inner_->Next(frame)) return false;
-    accessor_.Reset(Slice(*frame));
-    const uint64_t tuples = static_cast<uint64_t>(accessor_.tuple_count());
-    op_->frames_in.fetch_add(1, std::memory_order_relaxed);
-    op_->bytes_in.fetch_add(frame->size(), std::memory_order_relaxed);
-    op_->tuples_in.fetch_add(tuples, std::memory_order_relaxed);
-    edge_->tuples_recv.fetch_add(tuples, std::memory_order_relaxed);
+    if (!channel_->Get(frame)) return false;
+    CountFrame(*frame, stats_);
     return true;
   }
 
  private:
-  std::unique_ptr<FrameSource> inner_;
-  FrameTupleAccessor accessor_;
-  OperatorProfile* op_;
-  EdgeProfile* edge_;
+  FrameChannel* channel_;
+  ConnectorStats* stats_;
 };
 
 /// Receiver side of the m-to-n partitioning merging connector: merges the
@@ -67,11 +52,13 @@ class ProfilingSource : public FrameSource {
 class MergingSource : public FrameSource {
  public:
   MergingSource(std::vector<FrameChannel*> channels, int field_count,
-                int key_field, size_t frame_size, WorkerMetrics* metrics)
+                int key_field, size_t frame_size, WorkerMetrics* metrics,
+                ConnectorStats* stats)
       : channels_(std::move(channels)),
         key_field_(key_field),
         frame_size_(frame_size),
         metrics_(metrics),
+        stats_(stats),
         appender_(frame_size, field_count) {
     cursors_.reserve(channels_.size());
     for (size_t i = 0; i < channels_.size(); ++i) {
@@ -101,6 +88,7 @@ class MergingSource : public FrameSource {
         // Frame full: hand it out; the winning tuple stays for next round.
         *frame = appender_.Take();
         if (metrics_ != nullptr) metrics_->AddCpuOps(emitted);
+        CountFrame(*frame, stats_);
         return true;
       }
       ++emitted;
@@ -112,6 +100,7 @@ class MergingSource : public FrameSource {
     if (metrics_ != nullptr) metrics_->AddCpuOps(emitted);
     if (!appender_.empty()) {
       *frame = appender_.Take();
+      CountFrame(*frame, stats_);
       return true;
     }
     return false;
@@ -150,13 +139,15 @@ class MergingSource : public FrameSource {
   int key_field_;
   size_t frame_size_;
   WorkerMetrics* metrics_;
+  ConnectorStats* stats_;
   FrameTupleAppender appender_;
   bool primed_ = false;
 };
 
 /// Sender side of every connector: routes tuples to per-destination frames
 /// and pushes full frames into the destination channels, metering network
-/// bytes for cross-worker hops.
+/// bytes for cross-worker hops and every shipped frame into the task's
+/// activation record.
 class ConnectorSender : public TupleSink {
  public:
   struct Destination {
@@ -168,27 +159,16 @@ class ConnectorSender : public TupleSink {
   ConnectorSender(const ConnectorSpec* spec, std::vector<Destination> dests,
                   int routing_fanout, int src_worker, size_t frame_size,
                   int field_count, WorkerMetrics* metrics,
-                  MetricsRegistry* registry, const std::string& src_op_name,
-                  OperatorProfile* op_profile, EdgeProfile* edge_profile)
+                  ConnectorStats* stats)
       : spec_(spec),
         dests_(std::move(dests)),
         routing_fanout_(routing_fanout),
         src_worker_(src_worker),
         metrics_(metrics),
-        op_profile_(op_profile),
-        edge_profile_(edge_profile) {
+        stats_(stats) {
     appenders_.reserve(dests_.size());
     for (size_t i = 0; i < dests_.size(); ++i) {
       appenders_.emplace_back(frame_size, field_count);
-    }
-    if (registry != nullptr) {
-      const MetricLabels labels{{"operator", src_op_name},
-                                {"worker", std::to_string(src_worker_)}};
-      tuples_out_ = registry->GetCounter("pregelix.dataflow.tuples_out", labels);
-      frames_out_ = registry->GetCounter("pregelix.dataflow.connector_frames",
-                                         labels);
-      bytes_out_ = registry->GetCounter("pregelix.dataflow.connector_bytes",
-                                        labels);
     }
   }
 
@@ -206,11 +186,6 @@ class ConnectorSender : public TupleSink {
       PREGELIX_CHECK(appender.Append(fields)) << "tuple cannot fit any frame";
     }
     if (metrics_ != nullptr) metrics_->AddCpuOps(1);
-    if (tuples_out_ != nullptr) tuples_out_->Increment();
-    if (op_profile_ != nullptr) {
-      op_profile_->tuples_out.fetch_add(1, std::memory_order_relaxed);
-      edge_profile_->tuples_sent.fetch_add(1, std::memory_order_relaxed);
-    }
     return Status::OK();
   }
 
@@ -227,21 +202,12 @@ class ConnectorSender : public TupleSink {
  private:
   Status Flush(size_t d) {
     if (appenders_[d].empty()) return Status::OK();
+    const uint64_t tuples = static_cast<uint64_t>(appenders_[d].tuple_count());
     std::string frame = appenders_[d].Take();
     if (metrics_ != nullptr && dests_[d].dst_worker != src_worker_) {
       metrics_->AddNet(frame.size());
     }
-    if (frames_out_ != nullptr) {
-      frames_out_->Increment();
-      bytes_out_->Add(frame.size());
-    }
-    if (op_profile_ != nullptr) {
-      op_profile_->frames_out.fetch_add(1, std::memory_order_relaxed);
-      op_profile_->bytes_out.fetch_add(frame.size(),
-                                       std::memory_order_relaxed);
-      edge_profile_->frames.fetch_add(1, std::memory_order_relaxed);
-      edge_profile_->bytes.fetch_add(frame.size(), std::memory_order_relaxed);
-    }
+    stats_->AddFrame(tuples, frame.size());
     return dests_[d].channel->Put(std::move(frame));
   }
 
@@ -250,11 +216,7 @@ class ConnectorSender : public TupleSink {
   int routing_fanout_;
   int src_worker_;
   WorkerMetrics* metrics_;
-  Counter* tuples_out_ = nullptr;
-  Counter* frames_out_ = nullptr;
-  Counter* bytes_out_ = nullptr;
-  OperatorProfile* op_profile_;  ///< null when the job runs unprofiled
-  EdgeProfile* edge_profile_;    ///< non-null iff op_profile_ is
+  ConnectorStats* stats_;
   std::vector<FrameTupleAppender> appenders_;
   bool closed_ = false;
 };
@@ -274,6 +236,54 @@ struct ConnectorChannels {
                    : channels[dst].get();
   }
 };
+
+/// Ends one activation: rolls the per-connector counts into the record,
+/// then publishes it once to the registry counters and, when tracing, to
+/// the `operator` span. `t0`/`t1` bracket Operator::Run; the same pair
+/// gives the record's wall time and the span's interval.
+void FinishActivation(const std::string& op_name, const TaskContext& ctx,
+                      std::chrono::steady_clock::time_point t0,
+                      std::chrono::steady_clock::time_point t1,
+                      ActivationRecord* record) {
+  OperatorStats& stats = record->stats;
+  stats.activations = 1;
+  stats.wall_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+  for (const ConnectorStats& in : record->received) {
+    stats.tuples_in += in.tuples;
+    stats.frames_in += in.frames;
+    stats.bytes_in += in.bytes;
+  }
+  for (const ConnectorStats& out : record->sent) {
+    stats.tuples_out += out.tuples;
+    stats.frames_out += out.frames;
+    stats.bytes_out += out.bytes;
+  }
+  if (!record->sent.empty()) {
+    const MetricLabels labels{{"operator", op_name},
+                              {"worker", std::to_string(record->worker)}};
+    ctx.registry->GetCounter("pregelix.dataflow.tuples_out", labels)
+        ->Add(stats.tuples_out);
+    ctx.registry->GetCounter("pregelix.dataflow.connector_frames", labels)
+        ->Add(stats.frames_out);
+    ctx.registry->GetCounter("pregelix.dataflow.connector_bytes", labels)
+        ->Add(stats.bytes_out);
+  }
+  if (ctx.tracer->enabled()) {
+    TraceEvent event;
+    event.name = op_name;
+    event.category = trace_cat::kOperator;
+    event.worker = record->worker;
+    event.start_us = ctx.tracer->MicrosAt(t0);
+    event.duration_us = stats.wall_ns / 1000;
+    event.args = {{"partition", record->partition},
+                  {"tuples_in", static_cast<int64_t>(stats.tuples_in)},
+                  {"tuples_out", static_cast<int64_t>(stats.tuples_out)},
+                  {"bytes_in", static_cast<int64_t>(stats.bytes_in)},
+                  {"bytes_out", static_cast<int64_t>(stats.bytes_out)}};
+    ctx.tracer->Record(std::move(event));
+  }
+}
 
 }  // namespace
 
@@ -295,10 +305,6 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
 
   std::atomic<bool> abort{false};
   const auto job_start = std::chrono::steady_clock::now();
-  if (profile != nullptr) {
-    profile->InitFromJob(
-        spec, [&cluster](int p) { return cluster.worker_of_partition(p); });
-  }
 
   // --- Build channels per connector ---------------------------------------
   std::vector<ConnectorChannels> conn_channels(spec.connectors().size());
@@ -366,20 +372,26 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
   }
 
   // --- Build tasks ----------------------------------------------------------
+  // One activation record per (operator, partition) clone, in that order;
+  // sized up front so the pointers the tasks hold into it stay valid.
+  size_t num_tasks = 0;
+  for (const JobSpec::OpEntry& entry : spec.ops()) {
+    num_tasks += static_cast<size_t>(entry.num_partitions);
+  }
+  std::vector<ActivationRecord> records;
+  records.reserve(num_tasks);
+
   struct Task {
-    int op;
-    int partition;
     std::unique_ptr<TaskContext> ctx;
     std::unique_ptr<Operator> instance;
+    ActivationRecord* record;
   };
   std::vector<Task> tasks;
+  tasks.reserve(num_tasks);
 
   for (size_t oi = 0; oi < spec.ops().size(); ++oi) {
     const JobSpec::OpEntry& entry = spec.ops()[oi];
     for (int p = 0; p < entry.num_partitions; ++p) {
-      Task task;
-      task.op = static_cast<int>(oi);
-      task.partition = p;
       auto ctx = std::make_unique<TaskContext>();
       ctx->partition = p;
       ctx->worker = cluster.worker_of_partition(p);
@@ -393,16 +405,27 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
       PREGELIX_CHECK(EnsureDir(ctx->scratch_dir));
       ctx->config = &config;
       ctx->runtime_context = runtime_context;
-      if (profile != nullptr) {
-        ctx->profile = profile->slot(static_cast<int>(oi), p);
+
+      ActivationRecord& record = records.emplace_back();
+      record.op = static_cast<int>(oi);
+      record.partition = p;
+      record.worker = ctx->worker;
+      for (size_t ci = 0; ci < spec.connectors().size(); ++ci) {
+        const ConnectorSpec& c = spec.connectors()[ci];
+        if (c.dst_op == record.op) {
+          record.received.push_back({.connector = static_cast<int>(ci)});
+        }
+        if (c.src_op == record.op) {
+          record.sent.push_back({.connector = static_cast<int>(ci)});
+        }
       }
+      ctx->stats = &record.stats;
 
       // Inputs, ordered by dst_input index.
       std::vector<std::pair<int, std::unique_ptr<FrameSource>>> inputs;
-      for (size_t ci = 0; ci < spec.connectors().size(); ++ci) {
-        const ConnectorSpec& c = spec.connectors()[ci];
-        if (c.dst_op != static_cast<int>(oi)) continue;
-        const ConnectorChannels& cc = conn_channels[ci];
+      for (ConnectorStats& in : record.received) {
+        const ConnectorSpec& c = spec.connectors()[in.connector];
+        const ConnectorChannels& cc = conn_channels[in.connector];
         std::unique_ptr<FrameSource> src;
         if (cc.merging) {
           std::vector<FrameChannel*> column;
@@ -412,14 +435,9 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
           }
           src = std::make_unique<MergingSource>(
               std::move(column), c.field_count, c.key_field,
-              config.frame_size, ctx->metrics);
+              config.frame_size, ctx->metrics, &in);
         } else {
-          src = std::make_unique<QueueSource>(cc.at(0, p));
-        }
-        if (profile != nullptr) {
-          src = std::make_unique<ProfilingSource>(
-              std::move(src), c.field_count, ctx->profile,
-              profile->edge_slot(static_cast<int>(ci)));
+          src = std::make_unique<QueueSource>(cc.at(0, p), &in);
         }
         inputs.emplace_back(c.dst_input, std::move(src));
       }
@@ -431,10 +449,9 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
 
       // Outputs, ordered by src_output index.
       std::vector<std::pair<int, std::unique_ptr<TupleSink>>> outputs;
-      for (size_t ci = 0; ci < spec.connectors().size(); ++ci) {
-        const ConnectorSpec& c = spec.connectors()[ci];
-        if (c.src_op != static_cast<int>(oi)) continue;
-        const ConnectorChannels& cc = conn_channels[ci];
+      for (ConnectorStats& out : record.sent) {
+        const ConnectorSpec& c = spec.connectors()[out.connector];
+        const ConnectorChannels& cc = conn_channels[out.connector];
         std::vector<ConnectorSender::Destination> dests;
         int fanout = cc.num_dst;
         switch (c.kind) {
@@ -458,10 +475,7 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
             c.src_output,
             std::make_unique<ConnectorSender>(
                 &c, std::move(dests), fanout, ctx->worker, config.frame_size,
-                c.field_count, ctx->metrics, ctx->registry,
-                entry.descriptor->name(), ctx->profile,
-                profile != nullptr ? profile->edge_slot(static_cast<int>(ci))
-                                   : nullptr));
+                c.field_count, ctx->metrics, &out));
       }
       std::sort(outputs.begin(), outputs.end(),
                 [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -469,9 +483,8 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
         ctx->outputs.push_back(std::move(sink));
       }
 
-      task.instance = entry.descriptor->Create(p);
-      task.ctx = std::move(ctx);
-      tasks.push_back(std::move(task));
+      tasks.push_back(
+          Task{std::move(ctx), entry.descriptor->Create(p), &record});
     }
   }
 
@@ -481,36 +494,18 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
   std::vector<std::thread> threads;
   threads.reserve(tasks.size());
   for (Task& task : tasks) {
-    threads.emplace_back([&cluster, &spec, &task, &abort, &status_mutex,
+    threads.emplace_back([&spec, &task, &abort, &status_mutex,
                           &first_error]() {
+      const std::string& op_name =
+          spec.ops()[task.record->op].descriptor->name();
       // Time ledger (DESIGN.md §20): the whole task thread is attributed,
       // base category compute, labeled with the operator name so the
-      // category×operator hierarchy (and the per-operator io_wait family)
-      // can be rebuilt from the cells.
+      // category×operator hierarchy can be rebuilt from the cells.
       TimeLedger::AttachCurrentThread(task.ctx->worker, TimeCategory::kCompute,
-                                      spec.ops()[task.op].descriptor->name());
-      Status s;
-      {
-        // One span per operator activation; carries the worker counter
-        // deltas (cpu/disk/net) accrued while the task ran.
-        TraceSpan span(task.ctx->tracer,
-                       spec.ops()[task.op].descriptor->name(),
-                       trace_cat::kOperator, task.ctx->worker,
-                       task.ctx->metrics);
-        span.AddArg("partition", task.partition);
-        if (task.ctx->profile != nullptr) {
-          OperatorProfile* prof = task.ctx->profile;
-          prof->activations.fetch_add(1, std::memory_order_relaxed);
-          const auto t0 = std::chrono::steady_clock::now();
-          s = task.instance->Run(*task.ctx);
-          prof->AddWall(static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count()));
-        } else {
-          s = task.instance->Run(*task.ctx);
-        }
-      }
+                                      op_name);
+      const auto t0 = std::chrono::steady_clock::now();
+      Status s = task.instance->Run(*task.ctx);
+      const auto t1 = std::chrono::steady_clock::now();
       if (s.ok()) {
         // Close outputs (end-of-stream) and drain unread inputs so upstream
         // senders are never left blocked on a full channel.
@@ -524,15 +519,14 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
           }
         }
       }
+      FinishActivation(op_name, *task.ctx, t0, t1, task.record);
       if (!s.ok()) {
         MutexLock lock(&status_mutex);
         if (first_error.ok()) {
-          first_error = Status(s.code(), spec.name() + "/" +
-                                             spec.ops()[task.op]
-                                                 .descriptor->name() +
-                                             "[" +
-                                             std::to_string(task.partition) +
-                                             "]: " + s.message());
+          first_error =
+              Status(s.code(), spec.name() + "/" + op_name + "[" +
+                                   std::to_string(task.record->partition) +
+                                   "]: " + s.message());
         }
         abort.store(true);
       }
@@ -564,7 +558,7 @@ Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
   }
 
   if (profile != nullptr) {
-    profile->Finalize(static_cast<uint64_t>(
+    profile->Finalize(spec, records, static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - job_start)
             .count()));

@@ -20,11 +20,11 @@ namespace pregelix {
 /// `runtime_context` is passed through to every TaskContext (the per-job
 /// state hook used by the Pregelix layer).
 ///
-/// `profile`, when non-null, turns on plan profiling for this job: the
-/// executor initializes it from the spec, hands each task its
-/// (operator, partition) slot, meters every connector edge, times each
-/// activation, and finalizes the tree (skew + critical path) before
-/// returning. Null costs nothing beyond one pointer test per site.
+/// Every clone keeps one ActivationRecord (tuples, frames and bytes per
+/// connector, wall time, memory high-water mark, spills), and its end folds
+/// the record into the registry's dataflow counters and the `operator`
+/// trace span. `profile`, when non-null, is finalized from all records
+/// (skew + critical path) before returning.
 Status RunJob(SimulatedCluster& cluster, const JobSpec& spec,
               void* runtime_context = nullptr, PlanProfile* profile = nullptr);
 

@@ -15,7 +15,7 @@
 
 namespace pregelix {
 
-struct OperatorProfile;  // dataflow/plan_profile.h
+struct OperatorStats;  // dataflow/plan_profile.h
 
 /// Pull interface for an operator input: a stream of frames fed by a
 /// connector (plain queue or merging receiver).
@@ -55,10 +55,10 @@ struct TaskContext {
   std::string scratch_dir;          ///< partition-local scratch directory
   const ClusterConfig* config = nullptr;
   void* runtime_context = nullptr;  ///< job-defined per-cluster state
-  /// Plan-profile slot of this (operator, partition) clone; null when the
-  /// job runs unprofiled. Operators and the kernels they drive add memory
-  /// high-water marks and spill volume here.
-  OperatorProfile* profile = nullptr;
+  /// Activation record of this (operator, partition) clone; never null
+  /// under RunJob. Written only by this task's thread: operators and the
+  /// kernels they drive add memory high-water marks and spill volume here.
+  OperatorStats* stats = nullptr;
 
   std::vector<std::unique_ptr<FrameSource>> inputs;
   std::vector<std::unique_ptr<TupleSink>> outputs;

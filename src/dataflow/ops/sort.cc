@@ -263,7 +263,7 @@ Status RunWriter::Finish() {
 Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
                  std::vector<std::string> run_paths, const TupleEmitFn& emit) {
   TraceSpan span(config.tracer, "sort.merge", trace_cat::kDataflow,
-                 config.worker, config.metrics);
+                 config.worker);
   span.AddArg("runs", static_cast<int64_t>(run_paths.size()));
   span.AddArg("fanin", config.merge_fanin);
   uint64_t pass_id = 0;
@@ -499,11 +499,11 @@ Status ExternalSortGrouper::DrainBatchSorted(const TupleEmitFn& fn) {
 
 Status ExternalSortGrouper::SpillBatch() {
   TraceSpan span(config_.tracer, "sort.run_generation", trace_cat::kDataflow,
-                 config_.worker, config_.metrics);
+                 config_.worker);
   span.AddArg("tuples", static_cast<int64_t>(entries_.size()));
   span.AddArg("run", static_cast<int64_t>(next_run_id_));
-  if (config_.profile != nullptr) {
-    config_.profile->UpdateMemHwm(BatchBytes());
+  if (config_.stats != nullptr) {
+    config_.stats->UpdateMemHwm(BatchBytes());
   }
   const std::string path =
       config_.scratch_prefix + "-run-" + std::to_string(next_run_id_++);
@@ -511,8 +511,9 @@ Status ExternalSortGrouper::SpillBatch() {
   PREGELIX_RETURN_NOT_OK(DrainBatchSorted(
       [&](std::span<const Slice> fields) { return writer.Append(fields); }));
   PREGELIX_RETURN_NOT_OK(writer.Finish());
-  if (config_.profile != nullptr) {
-    config_.profile->AddSpill(writer.bytes_written());
+  span.AddArg("bytes", static_cast<int64_t>(writer.bytes_written()));
+  if (config_.stats != nullptr) {
+    config_.stats->AddSpill(writer.bytes_written());
   }
   run_paths_.push_back(path);
   return Status::OK();
@@ -521,8 +522,8 @@ Status ExternalSortGrouper::SpillBatch() {
 Status ExternalSortGrouper::Finish(const TupleEmitFn& emit) {
   PREGELIX_CHECK(!finished_);
   finished_ = true;
-  if (config_.profile != nullptr) {
-    config_.profile->UpdateMemHwm(BatchBytes());
+  if (config_.stats != nullptr) {
+    config_.stats->UpdateMemHwm(BatchBytes());
   }
   if (eager_sink_) {
     // The remainder is one more partial batch for the downstream group-by,
@@ -681,11 +682,11 @@ void HashSortGrouper::SortedOrder(std::vector<uint32_t>* order) const {
 Status HashSortGrouper::SpillTable() {
   if (groups_.empty()) return Status::OK();
   TraceSpan span(config_.tracer, "hashsort.run_generation",
-                 trace_cat::kDataflow, config_.worker, config_.metrics);
+                 trace_cat::kDataflow, config_.worker);
   span.AddArg("groups", static_cast<int64_t>(groups_.size()));
   span.AddArg("run", static_cast<int64_t>(next_run_id_));
-  if (config_.profile != nullptr) {
-    config_.profile->UpdateMemHwm(TableBytes());
+  if (config_.stats != nullptr) {
+    config_.stats->UpdateMemHwm(TableBytes());
   }
   std::vector<uint32_t> order;
   SortedOrder(&order);
@@ -700,8 +701,9 @@ Status HashSortGrouper::SpillTable() {
     PREGELIX_RETURN_NOT_OK(writer.Append(out));
   }
   PREGELIX_RETURN_NOT_OK(writer.Finish());
-  if (config_.profile != nullptr) {
-    config_.profile->AddSpill(writer.bytes_written());
+  span.AddArg("bytes", static_cast<int64_t>(writer.bytes_written()));
+  if (config_.stats != nullptr) {
+    config_.stats->AddSpill(writer.bytes_written());
   }
   run_paths_.push_back(path);
   ReleaseTable();
@@ -727,8 +729,8 @@ void HashSortGrouper::ReleaseTable() {
 Status HashSortGrouper::EmitTable(const TupleEmitFn& emit) {
   if (groups_.empty()) return Status::OK();
   ScopedTimeCategory group_by(TimeCategory::kGroupBy);
-  if (config_.profile != nullptr) {
-    config_.profile->UpdateMemHwm(TableBytes());
+  if (config_.stats != nullptr) {
+    config_.stats->UpdateMemHwm(TableBytes());
   }
   std::vector<uint32_t> order;
   SortedOrder(&order);
@@ -748,8 +750,8 @@ Status HashSortGrouper::EmitTable(const TupleEmitFn& emit) {
 Status HashSortGrouper::Finish(const TupleEmitFn& emit) {
   PREGELIX_CHECK(!finished_);
   finished_ = true;
-  if (config_.profile != nullptr) {
-    config_.profile->UpdateMemHwm(TableBytes());
+  if (config_.stats != nullptr) {
+    config_.stats->UpdateMemHwm(TableBytes());
   }
   if (eager_sink_) {
     // The remainder streams out as one more partial table; the downstream

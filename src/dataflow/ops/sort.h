@@ -17,7 +17,7 @@
 
 namespace pregelix {
 
-struct OperatorProfile;  // dataflow/plan_profile.h
+struct OperatorStats;  // dataflow/plan_profile.h
 
 /// Streaming consumer of sorted output: called once per tuple, in key order.
 using TupleEmitFn = std::function<Status(std::span<const Slice> fields)>;
@@ -49,10 +49,10 @@ struct SortConfig {
   Tracer* tracer = nullptr;  ///< optional; spans for run generation vs merge
   int worker = 0;            ///< worker id stamped on sort spans
   int merge_fanin = 16;
-  /// Plan-profile slot of the driving operator clone (null = unprofiled).
-  /// The groupers record their memory high-water mark at spill/finish
-  /// boundaries and each spilled run's byte volume into it.
-  OperatorProfile* profile = nullptr;
+  /// Activation record of the driving operator clone (null for kernels run
+  /// outside RunJob). The groupers record their memory high-water mark at
+  /// spill/finish boundaries and each spilled run's byte volume into it.
+  OperatorStats* stats = nullptr;
 };
 
 /// External sort with optional early aggregation (paper Section 4

@@ -1,10 +1,9 @@
 #ifndef PREGELIX_DATAFLOW_PLAN_PROFILE_H_
 #define PREGELIX_DATAFLOW_PLAN_PROFILE_H_
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -14,65 +13,19 @@
 // EXPLAIN ANALYZE for dataflow plans (see DESIGN.md "Plan profiling &
 // EXPLAIN").
 //
-// The executor allocates one OperatorProfile per (operator, partition) clone
-// and one EdgeProfile per connector when a PlanProfile is handed to RunJob;
-// every counter is a relaxed atomic the task threads (and the sort/group-by
-// kernels underneath them) add into. After the job joins, Finalize()
-// condenses the live slots into a plain tree mirroring the JobSpec DAG, with
-// min/median/max wall time per operator (-> skew factor) and the operator
-// chain on the slowest worker (-> critical path).
-//
-// With profiling off no slots exist: TaskContext::profile is null and every
-// instrumentation site is a single pointer test.
+// RunJob keeps one ActivationRecord per (operator, partition) clone, always:
+// the task thread and the kernels it drives are its only writers, and it is
+// read only after the executor joins the job's threads, so every counter is
+// a plain integer. At the end of each activation the executor folds the
+// record into the registry counters and the `operator` trace span; after
+// the join, Finalize() builds a plain tree mirroring the JobSpec DAG from
+// the records, with min/median/max wall time per operator (-> skew factor)
+// and the operator chain on the slowest worker (-> critical path).
 
 namespace pregelix {
 
-/// Live accumulation slot for one (operator, partition) activation. All
-/// fields are relaxed atomics: written by the owning task thread plus any
-/// kernel it drives, read only after the executor joins the job's threads.
-struct OperatorProfile {
-  std::atomic<uint64_t> activations{0};
-  std::atomic<uint64_t> tuples_in{0};
-  std::atomic<uint64_t> tuples_out{0};
-  std::atomic<uint64_t> frames_in{0};
-  std::atomic<uint64_t> frames_out{0};
-  std::atomic<uint64_t> bytes_in{0};
-  std::atomic<uint64_t> bytes_out{0};
-  std::atomic<uint64_t> wall_ns{0};
-  std::atomic<uint64_t> mem_hwm_bytes{0};
-  std::atomic<uint64_t> spill_count{0};
-  std::atomic<uint64_t> spill_bytes{0};
-
-  void AddWall(uint64_t ns) {
-    wall_ns.fetch_add(ns, std::memory_order_relaxed);
-  }
-  void AddSpill(uint64_t bytes) {
-    spill_count.fetch_add(1, std::memory_order_relaxed);
-    spill_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  /// CAS-max; call at spill/finish boundaries, not per tuple.
-  void UpdateMemHwm(uint64_t bytes) {
-    uint64_t prev = mem_hwm_bytes.load(std::memory_order_relaxed);
-    while (bytes > prev &&
-           !mem_hwm_bytes.compare_exchange_weak(prev, bytes,
-                                                std::memory_order_relaxed)) {
-    }
-  }
-};
-
-/// Live accumulation slot for one connector. tuples_sent / frames / bytes
-/// are metered on the sender side; tuples_recv on the receiver side, so
-/// `tuples_sent == tuples_recv` is the tuple-conservation invariant across
-/// the exchange (frames may be re-batched by a merging receiver).
-struct EdgeProfile {
-  std::atomic<uint64_t> tuples_sent{0};
-  std::atomic<uint64_t> tuples_recv{0};
-  std::atomic<uint64_t> frames{0};
-  std::atomic<uint64_t> bytes{0};
-};
-
-/// Plain (non-atomic) counter bundle; the unit the finalized tree is built
-/// from and merged with.
+/// Counters of one (operator, partition) activation, and the unit the
+/// finalized tree is built from and merged with.
 struct OperatorStats {
   uint64_t activations = 0;
   uint64_t tuples_in = 0;
@@ -86,10 +39,45 @@ struct OperatorStats {
   uint64_t spill_count = 0;
   uint64_t spill_bytes = 0;
 
+  void AddSpill(uint64_t bytes) {
+    ++spill_count;
+    spill_bytes += bytes;
+  }
+  /// Call at spill/finish boundaries, not per tuple.
+  void UpdateMemHwm(uint64_t bytes) {
+    mem_hwm_bytes = std::max(mem_hwm_bytes, bytes);
+  }
+
   OperatorStats& operator+=(const OperatorStats& o);
 };
 
-OperatorStats SnapshotProfile(const OperatorProfile& p);
+/// Tuples, frames and bytes one task clone moved through one connector:
+/// sent on the sender side, handed to the operator on the receiver side
+/// (a merging receiver re-batches frames, so only tuples are conserved).
+struct ConnectorStats {
+  int connector = -1;  ///< index into JobSpec::connectors()
+  uint64_t tuples = 0;
+  uint64_t frames = 0;
+  uint64_t bytes = 0;
+
+  void AddFrame(uint64_t frame_tuples, uint64_t frame_bytes) {
+    tuples += frame_tuples;
+    ++frames;
+    bytes += frame_bytes;
+  }
+};
+
+/// Everything one (operator, partition) activation recorded. `stats` is
+/// what the operator and its kernels saw; the per-connector counts sit
+/// beside it and roll up into its in/out columns when the activation ends.
+struct ActivationRecord {
+  int op = -1;
+  int partition = 0;
+  int worker = 0;
+  OperatorStats stats;
+  std::vector<ConnectorStats> received;  ///< one per input connector
+  std::vector<ConnectorStats> sent;      ///< one per output connector
+};
 
 /// One partition clone of an operator in the finalized tree.
 struct PartitionStats {
@@ -129,31 +117,21 @@ struct PlanEdgeProfile {
 const char* ConnectorKindName(ConnectorKind kind);
 
 /// Profile of one executed plan (or, after MergeFrom, of a set of executed
-/// plans — the cumulative job profile). Lifecycle: InitFromJob before
-/// RunJob spawns tasks, slot()/edge_slot() during execution, Finalize()
-/// after the join, then read-only.
+/// plans — the cumulative job profile). RunJob calls Finalize() once after
+/// the join; the profile is read-only afterwards.
 class PlanProfile {
  public:
   PlanProfile() = default;
   PlanProfile(const PlanProfile&) = delete;
   PlanProfile& operator=(const PlanProfile&) = delete;
 
-  /// Mirrors the JobSpec DAG and allocates the live slots.
-  void InitFromJob(const JobSpec& spec,
-                   const std::function<int(int)>& worker_of_partition);
-
-  OperatorProfile* slot(int op, int partition) {
-    return live_ops_[static_cast<size_t>(op)][static_cast<size_t>(partition)]
-        .get();
-  }
-  EdgeProfile* edge_slot(int connector) {
-    return live_edges_[static_cast<size_t>(connector)].get();
-  }
-
-  /// Condenses the live slots into the finalized tree and computes the
+  /// Builds the finalized tree mirroring `spec` from the activation records
+  /// of one RunJob, given in (operator, partition) order, and computes the
   /// skew / critical-path attribution. `job_wall_ns` is the end-to-end wall
   /// time of the RunJob call.
-  void Finalize(uint64_t job_wall_ns);
+  void Finalize(const JobSpec& spec,
+                const std::vector<ActivationRecord>& records,
+                uint64_t job_wall_ns);
 
   /// Folds another *finalized* profile into this one: operators are matched
   /// by name, connectors by (src, dst, kind); unmatched rows are appended
@@ -205,12 +183,6 @@ class PlanProfile {
   int supersteps_merged_ = 1;
   uint64_t wall_ns_ = 0;
 
-  // Live phase.
-  std::vector<std::vector<std::unique_ptr<OperatorProfile>>> live_ops_;
-  std::vector<std::unique_ptr<EdgeProfile>> live_edges_;
-  std::vector<std::vector<int>> partition_worker_;  ///< [op][partition]
-
-  // Finalized phase.
   std::vector<PlanOperatorProfile> ops_;
   std::vector<PlanEdgeProfile> edges_;
   int slowest_worker_ = -1;

@@ -62,10 +62,11 @@ struct PregelixJobConfig {
   GroupByConnector groupby_connector = GroupByConnector::kUnmerged;
   VertexStorage storage = VertexStorage::kBTree;
 
-  /// Plan profiling (EXPLAIN ANALYZE): collect a per-operator PlanProfile
-  /// for every superstep job, attach it to the SuperstepStats, and keep the
-  /// cumulative job profile on the JobResult. Off by default; off costs one
-  /// null-pointer test per instrumentation site.
+  /// Plan profiling (EXPLAIN ANALYZE): keep every superstep's PlanProfile
+  /// on its SuperstepStats and the cumulative job profile on the JobResult.
+  /// The profiles are built either way, from the executor's activation
+  /// records; this flag only decides whether they are kept (a kAuto job
+  /// keeps them regardless). Off by default.
   bool profile_plan = false;
 
   /// Stall watchdog: warn (log + metrics) when a superstep runs longer than

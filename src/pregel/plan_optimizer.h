@@ -50,8 +50,8 @@ struct PlanDecision {
 };
 
 /// What one completed superstep tells the chooser (assembled by the driver
-/// from GS, SuperstepStats, the PlanProfile when profiling is on, and the
-/// stall watchdog).
+/// from GS, SuperstepStats, the superstep's PlanProfile, and the stall
+/// watchdog).
 struct OptimizerFeedback {
   int64_t num_vertices = 0;
   int64_t num_edges = 0;
@@ -61,7 +61,7 @@ struct OptimizerFeedback {
   uint64_t spill_count = 0;
   uint64_t spill_bytes = 0;
   /// Combine-op worker skew (max/median wall) from the plan profile; 1.0
-  /// when unknown (profiling off).
+  /// when unknown (the plan has no combine-msgs operator).
   double groupby_skew = 1.0;
   /// Combine-op input/output tuple counts from the plan profile; 0 when
   /// unknown. Their ratio is the combiner reduction factor.

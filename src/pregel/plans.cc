@@ -75,7 +75,7 @@ SortConfig MakeSortConfig(JobRuntimeContext* ctx, TaskContext& task,
   config.metrics = task.metrics;
   config.tracer = task.tracer;
   config.worker = task.worker;
-  config.profile = task.profile;
+  config.stats = task.stats;
   return config;
 }
 

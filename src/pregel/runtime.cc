@@ -153,14 +153,14 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
   // across jobs, so chooser state resets here.
   InitPlanChooser(ctx);
 
-  // EXPLAIN ANALYZE support: one PlanProfile per superstep, merged into a
-  // cumulative job profile. Null when profiling is off — the executor and
-  // kernels then skip every instrumentation site on a pointer test. A kAuto
-  // job forces profiling on: the optimizer's combiner-reduction and skew
-  // signals only exist in the profile.
-  const bool profile_plan = config.profile_plan || ctx->optimizer != nullptr;
+  // Every superstep job is finalized into a PlanProfile, the one source of
+  // the superstep's shuffle and spill stats. Retention is what the flag
+  // decides: a profiled job, or a kAuto job whose chooser read them, keeps
+  // the per-superstep profiles and merges them into a cumulative one.
+  const bool keep_profiles =
+      ctx->optimizer != nullptr || config.profile_plan;
   std::shared_ptr<PlanProfile> cumulative;
-  if (profile_plan) cumulative = std::make_shared<PlanProfile>();
+  if (keep_profiles) cumulative = std::make_shared<PlanProfile>();
 
   // Flags a superstep that runs far past the trailing-mean wall time while
   // it is still running (wedged exchange, pathological skew).
@@ -296,8 +296,7 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
     PREGELIX_RETURN_NOT_OK(ResolveAndPublishPlan(ctx, cluster_->registry(),
                                                  &plan_record, &spec));
     result->plan_decisions.push_back(plan_record);
-    std::shared_ptr<PlanProfile> step_profile;
-    if (profile_plan) step_profile = std::make_shared<PlanProfile>();
+    auto step_profile = std::make_shared<PlanProfile>();
     const int64_t stalls_before = watchdog.stall_count();
     watchdog.Arm(superstep);
     const Status step_status =
@@ -327,16 +326,9 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
             ? 1.0
             : static_cast<double>(cache_hits) /
                   static_cast<double>(cache_hits + cache_misses);
-    if (step_profile != nullptr) {
-      AttachPaperPlanLabels(step_profile.get());
-      stats.bytes_shuffled = step_profile->TotalShuffleBytes();
-      stats.spill_count = step_profile->TotalSpillCount();
-      stats.spill_bytes = step_profile->TotalSpillBytes();
-      cumulative->MergeFrom(*step_profile);
-      stats.profile = std::move(step_profile);
-    } else {
-      stats.bytes_shuffled = stats.cluster_delta.net_bytes;
-    }
+    stats.bytes_shuffled = step_profile->TotalShuffleBytes();
+    stats.spill_count = step_profile->TotalSpillCount();
+    stats.spill_bytes = step_profile->TotalSpillBytes();
 
     // Feed the completed superstep back to the chooser; the next superstep's
     // Decide consumes exactly these observations.
@@ -350,16 +342,19 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
       fb.spill_count = stats.spill_count;
       fb.spill_bytes = stats.spill_bytes;
       fb.stalled = stalled;
-      if (stats.profile != nullptr) {
-        for (const PlanOperatorProfile& op : stats.profile->ops()) {
-          if (op.name == "combine-msgs") {
-            fb.groupby_skew = op.skew;
-            fb.combine_tuples_in = op.total.tuples_in;
-            fb.combine_tuples_out = op.total.tuples_out;
-          }
+      for (const PlanOperatorProfile& op : step_profile->ops()) {
+        if (op.name == "combine-msgs") {
+          fb.groupby_skew = op.skew;
+          fb.combine_tuples_in = op.total.tuples_in;
+          fb.combine_tuples_out = op.total.tuples_out;
         }
       }
       ctx->optimizer->Observe(fb);
+    }
+    if (keep_profiles) {
+      AttachPaperPlanLabels(step_profile.get());
+      cumulative->MergeFrom(*step_profile);
+      stats.profile = std::move(step_profile);
     }
     PLOG(Info) << "superstep " << superstep << " [" << config.name
                << "]: live=" << stats.live_vertices

@@ -28,16 +28,18 @@ struct SuperstepStats {
   PlanDecision plan;
   MetricsSnapshot cluster_delta;  ///< summed counters across workers
 
-  /// Connector bytes moved this superstep (from the plan profile when
-  /// profiling is on; the cross-worker net-bytes delta otherwise).
+  /// Connector bytes moved this superstep: the sum over every connector of
+  /// the bytes its senders shipped, from the superstep's activation
+  /// records (the same figure whether or not the job is profiled).
   uint64_t bytes_shuffled = 0;
   /// Buffer-cache hit ratio over this superstep's accesses (1.0 when the
   /// superstep touched the cache not at all).
   double cache_hit_ratio = 1.0;
-  /// Group-by/sort spills this superstep (profiling on; 0 otherwise).
+  /// Group-by/sort spills this superstep, from the same records.
   uint64_t spill_count = 0;
   uint64_t spill_bytes = 0;
-  /// Per-operator plan profile of this superstep's job (profiling on).
+  /// Per-operator plan profile of this superstep's job; kept when the job
+  /// is profiled or runs a kAuto knob, null otherwise.
   std::shared_ptr<const PlanProfile> profile;
 };
 
@@ -55,8 +57,9 @@ struct JobResult {
   /// One record per executed superstep: the plan the chooser resolved plus
   /// whether/why it switched (kAuto; static plans record themselves too).
   std::vector<PlanDecisionRecord> plan_decisions;
-  /// Cumulative plan profile over all supersteps (profiling on): operators
-  /// merged by name, so an adaptive job shows both compute variants.
+  /// Cumulative plan profile over all supersteps (kept under the same rule
+  /// as SuperstepStats::profile): operators merged by name, so an adaptive
+  /// job shows both compute variants.
   std::shared_ptr<const PlanProfile> plan_profile;
 };
 

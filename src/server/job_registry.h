@@ -83,7 +83,7 @@ struct JobStatus {
 
   std::deque<SuperstepBrief> recent;  ///< newest last, bounded window
   /// Cumulative plan profile as deterministic (timing-free) JSON; empty
-  /// when the job runs without --profile.
+  /// when the job keeps no profiles (no --profile and no kAuto knob).
   std::string profile_json;
 };
 

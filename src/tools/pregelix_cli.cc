@@ -173,8 +173,8 @@ commands:
       --profile-json=FILE       export the cumulative plan profile as JSON
                                 (timing-free: byte-identical across runs)
       --time-ledger             append the worker time-ledger rollup: category
-                                totals, per-operator time and io-wait, and the
-                                hottest contended locks (DESIGN.md section 20)
+                                totals, per-operator time, and the hottest
+                                contended locks (DESIGN.md section 20)
   verify     static plan verification without running anything (no --dfs or
              input graph needed): builds the load/superstep/dump/checkpoint/
              recovery plans the flags select and checks structure, declared
@@ -199,7 +199,7 @@ global flags:
 
 /// `explain --time-ledger`: where every attached engine-thread nanosecond
 /// went (DESIGN.md section 20) — category totals with shares, per-operator
-/// time and io-wait, the hottest contended locks, and the conservation
+/// time, the hottest contended locks, and the conservation
 /// residue. The same totals /profilez and the Prometheus exposition report.
 void PrintTimeLedger() {
   const TimeLedgerSnapshot snap = TimeLedger::Global().TakeSnapshot();

@@ -7,12 +7,15 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/metrics_registry.h"
 #include "common/serde.h"
 #include "common/temp_dir.h"
+#include "common/trace.h"
 #include "dataflow/executor.h"
 #include "dataflow/frame.h"
 #include "dataflow/job.h"
 #include "dataflow/operator.h"
+#include "dataflow/plan_profile.h"
 
 namespace pregelix {
 namespace {
@@ -339,6 +342,104 @@ TEST_F(ExecutorTest, OversizedTuplesCrossConnectors) {
       EXPECT_EQ(payload.size(), 10000u);
     }
   }
+}
+
+TEST_F(ExecutorTest, ProfileCountersAndSpansReadOneActivationRecord) {
+  MetricsRegistry registry;
+  Tracer tracer;
+  tracer.Enable();
+  ClusterConfig config = MakeConfig(3);
+  config.metrics_registry = &registry;
+  config.tracer = &tracer;
+  SimulatedCluster cluster(config);
+  Collected collected;
+  JobSpec spec;
+  spec.set_name("views");
+  // gen -> m:n -> relay -> m:1 -> collect.
+  auto relay = std::make_shared<LambdaOperatorDescriptor>(
+      "relay", [](TaskContext& ctx) -> Status {
+        FrameTupleAccessor acc(2);
+        std::string frame;
+        while (ctx.input(0).Next(&frame)) {
+          acc.Reset(Slice(frame));
+          for (int t = 0; t < acc.tuple_count(); ++t) {
+            const Slice fields[2] = {acc.field(t, 0), acc.field(t, 1)};
+            PREGELIX_RETURN_NOT_OK(ctx.output(0).Append(fields));
+          }
+        }
+        return Status::OK();
+      });
+  const int gen = spec.AddOperator(MakeGenerator(700), 4);
+  const int mid = spec.AddOperator(relay, 4);
+  const int sink = spec.AddOperator(MakeCollector(), 1);
+  ConnectorSpec c1;
+  c1.src_op = gen;
+  c1.dst_op = mid;
+  c1.kind = ConnectorKind::kMToNPartition;
+  spec.Connect(c1);
+  ConnectorSpec c2;
+  c2.src_op = mid;
+  c2.dst_op = sink;
+  c2.kind = ConnectorKind::kMToOne;
+  spec.Connect(c2);
+
+  PlanProfile profile;
+  ASSERT_TRUE(RunJob(cluster, spec, &collected, &profile).ok());
+  ASSERT_EQ(collected.Total(), 2800u);
+
+  // Registry: the per-activation folds, summed over workers, are the
+  // profile's operator totals.
+  ASSERT_EQ(profile.ops().size(), 3u);
+  for (const PlanOperatorProfile& op : profile.ops()) {
+    uint64_t tuples = 0, frames = 0, bytes = 0;
+    for (int w = 0; w < cluster.num_workers(); ++w) {
+      const MetricLabels labels{{"operator", op.name},
+                                {"worker", std::to_string(w)}};
+      tuples += registry.CounterValue("pregelix.dataflow.tuples_out", labels);
+      frames +=
+          registry.CounterValue("pregelix.dataflow.connector_frames", labels);
+      bytes +=
+          registry.CounterValue("pregelix.dataflow.connector_bytes", labels);
+    }
+    EXPECT_EQ(tuples, op.total.tuples_out) << op.name;
+    EXPECT_EQ(frames, op.total.frames_out) << op.name;
+    EXPECT_EQ(bytes, op.total.bytes_out) << op.name;
+  }
+  EXPECT_EQ(profile.ops()[gen].total.tuples_out, 2800u);
+  EXPECT_EQ(profile.ops()[mid].total.tuples_out, 2800u);
+
+  // Profile edges: tuples are conserved across each exchange.
+  ASSERT_EQ(profile.edges().size(), 2u);
+  for (const PlanEdgeProfile& edge : profile.edges()) {
+    EXPECT_EQ(edge.tuples_sent, 2800u) << edge.src_name;
+    EXPECT_EQ(edge.tuples_sent, edge.tuples_recv) << edge.src_name;
+  }
+
+  // Trace: one operator span per clone, carrying that clone's own counts
+  // and timed by the same clock pair as its wall_ns.
+  size_t spans = 0;
+  for (const TraceEvent& e : tracer.Collect()) {
+    if (std::string(e.category) != trace_cat::kOperator) continue;
+    ++spans;
+    std::map<std::string, int64_t> args(e.args.begin(), e.args.end());
+    const PlanOperatorProfile* op = nullptr;
+    for (const PlanOperatorProfile& o : profile.ops()) {
+      if (o.name == e.name) op = &o;
+    }
+    ASSERT_NE(op, nullptr) << e.name;
+    ASSERT_LT(static_cast<size_t>(args["partition"]), op->partitions.size());
+    const PartitionStats& ps =
+        op->partitions[static_cast<size_t>(args["partition"])];
+    EXPECT_EQ(ps.partition, args["partition"]);
+    EXPECT_EQ(static_cast<uint64_t>(args["tuples_in"]), ps.stats.tuples_in)
+        << e.name << "[" << ps.partition << "]";
+    EXPECT_EQ(static_cast<uint64_t>(args["tuples_out"]), ps.stats.tuples_out)
+        << e.name << "[" << ps.partition << "]";
+    EXPECT_NEAR(static_cast<double>(e.duration_us),
+                static_cast<double>(ps.stats.wall_ns / 1000), 1.0)
+        << e.name << "[" << ps.partition << "]";
+  }
+  EXPECT_EQ(spans, 9u);
 }
 
 }  // namespace

@@ -119,6 +119,49 @@ TEST_F(OutOfCoreTest, InMemoryAndOutOfCoreProduceIdenticalMetricsShape) {
   EXPECT_GT(small.total_sim_seconds, big.total_sim_seconds);
 }
 
+TEST_F(OutOfCoreTest, SuperstepStatsDoNotDependOnProfiling) {
+  GraphStats stats;
+  ASSERT_TRUE(
+      GenerateWebmapLike(dfs_, "web-prof", 2, 4000, 8.0, 7, &stats).ok());
+
+  // The superstep's shuffle and spill figures come from the executor's
+  // activation records either way; profile_plan only decides whether the
+  // profiles are kept on the result. The merging connector hands every
+  // combine-msgs clone its messages in key order; with the unmerged one the
+  // receiver's batches depend on how the senders' frames interleave, so
+  // spill volume would differ run to run whatever the flag.
+  auto run = [&](bool profile_plan, JobResult* result) {
+    auto cluster = MakeTinyCluster(128 * 1024);
+    PregelixRuntime runtime(cluster.get(), &dfs_);
+    PageRankProgram program(3);
+    PageRankProgram::Adapter adapter(&program);
+    PregelixJobConfig job;
+    job.name = "pr-ooc-profile";
+    job.input_dir = "web-prof";
+    job.groupby_connector = GroupByConnector::kMerged;
+    job.profile_plan = profile_plan;
+    Status s = runtime.Run(&adapter, job, result);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  };
+  JobResult off, on;
+  run(false, &off);
+  run(true, &on);
+  EXPECT_EQ(off.plan_profile, nullptr);
+  ASSERT_NE(on.plan_profile, nullptr);
+  ASSERT_EQ(off.superstep_stats.size(), on.superstep_stats.size());
+  uint64_t spills = 0;
+  for (size_t i = 0; i < off.superstep_stats.size(); ++i) {
+    const SuperstepStats& a = off.superstep_stats[i];
+    const SuperstepStats& b = on.superstep_stats[i];
+    EXPECT_EQ(a.bytes_shuffled, b.bytes_shuffled) << "superstep " << i + 1;
+    EXPECT_EQ(a.spill_count, b.spill_count) << "superstep " << i + 1;
+    EXPECT_EQ(a.spill_bytes, b.spill_bytes) << "superstep " << i + 1;
+    EXPECT_GT(a.bytes_shuffled, 0u) << "superstep " << i + 1;
+    spills += a.spill_count;
+  }
+  EXPECT_GT(spills, 0u) << "the budget is meant to force group-by spills";
+}
+
 TEST_F(OutOfCoreTest, LsmStorageAlsoRunsOutOfCore) {
   GraphStats stats;
   ASSERT_TRUE(GenerateBtcLike(dfs_, "btc2", 2, 2000, 6.0, 6, &stats).ok());
