@@ -99,6 +99,8 @@ ClusterConfig Env::Cluster(int workers, size_t worker_ram_bytes) {
   return config;
 }
 
+namespace {
+
 const char* AlgorithmName(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kPageRank:
@@ -110,8 +112,6 @@ const char* AlgorithmName(Algorithm algorithm) {
   }
   return "?";
 }
-
-namespace {
 
 /// Owns one typed program + adapter pair for a run.
 struct ProgramHolder {
@@ -170,10 +170,8 @@ Outcome RunPregelix(Env& env, const Dataset& dataset, Algorithm algorithm,
   }
   outcome.ok = true;
   outcome.supersteps = result.supersteps;
-  outcome.load_seconds = result.load_sim_seconds;
   outcome.total_seconds = result.total_sim_seconds;
   outcome.avg_iteration_seconds = result.avg_iteration_sim_seconds;
-  outcome.wall_seconds = result.wall_seconds;
 
   // PREGELIX_METRICS_JSON=<file>: dump the registry after every Pregelix run
   // (runs share the process-wide registry, so the file accumulates the whole
@@ -219,7 +217,6 @@ Outcome RunBaseline(Env& env, const Dataset& dataset, Algorithm algorithm,
   outcome.ok = result.succeeded;
   outcome.fail_reason = result.failure;
   outcome.supersteps = result.supersteps;
-  outcome.load_seconds = result.load_sim_seconds;
   outcome.total_seconds = result.total_sim_seconds;
   outcome.avg_iteration_seconds = result.avg_iteration_sim_seconds;
   return outcome;

@@ -65,17 +65,13 @@ class Env {
 
 enum class Algorithm { kPageRank, kSssp, kCc };
 
-const char* AlgorithmName(Algorithm algorithm);
-
 /// One comparison data point.
 struct Outcome {
   bool ok = false;
   std::string fail_reason;
   int64_t supersteps = 0;
-  double load_seconds = 0;
   double total_seconds = 0;     ///< simulated: load + supersteps (+ dump)
   double avg_iteration_seconds = 0;
-  double wall_seconds = 0;
 };
 
 /// Physical plan knobs for a Pregelix run (defaults = the paper's default

@@ -178,7 +178,16 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
     return c;
   };
 
-  auto init_gs_after_load = [&]() -> Status {
+  // Loads the graph from the input dir and writes the superstep-0 GS. Runs
+  // at admission and again when a failure leaves no valid checkpoint.
+  auto load_from_input = [&]() -> Status {
+    TraceSpan span(cluster_->tracer(), "pregel.load", trace_cat::kPregel,
+                   kTraceDriverWorker);
+    const std::vector<MetricsSnapshot> before = cluster_->SnapshotAll();
+    JobSpec load = BuildLoadJob(ctx);
+    PREGELIX_RETURN_NOT_OK(RunJob(*cluster_, load, ctx));
+    result->load_sim_seconds += SimulatedStepSeconds(
+        Delta(before, cluster_->SnapshotAll()), cost_params_);
     GlobalState gs;
     gs.superstep = 0;
     gs.halt = false;
@@ -189,20 +198,9 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
     }
     gs.live_vertices = gs.num_vertices;
     ctx->gs = gs;
-    return WriteGs(dfs_, *ctx, gs);
-  };
-
-  auto load_from_input = [&]() -> Status {
-    TraceSpan span(cluster_->tracer(), "pregel.load", trace_cat::kPregel,
-                   kTraceDriverWorker);
-    const std::vector<MetricsSnapshot> before = cluster_->SnapshotAll();
-    JobSpec load = BuildLoadJob(ctx);
-    PREGELIX_RETURN_NOT_OK(RunJob(*cluster_, load, ctx));
-    result->load_sim_seconds += SimulatedStepSeconds(
-        Delta(before, cluster_->SnapshotAll()), cost_params_);
-    PREGELIX_RETURN_NOT_OK(init_gs_after_load());
-    span.AddArg("vertices", ctx->gs.num_vertices);
-    span.AddArg("edges", ctx->gs.num_edges);
+    PREGELIX_RETURN_NOT_OK(WriteGs(dfs_, *ctx, gs));
+    span.AddArg("vertices", gs.num_vertices);
+    span.AddArg("edges", gs.num_edges);
     return Status::OK();
   };
 
@@ -252,14 +250,7 @@ Status PregelixRuntime::RunInternal(PregelProgram* program,
       int64_t resume = 0;
       bool restart = false;
       PREGELIX_RETURN_NOT_OK(Recover(ctx, &resume, &restart));
-      if (restart) {
-        const std::vector<MetricsSnapshot> before = cluster_->SnapshotAll();
-        JobSpec load = BuildLoadJob(ctx);
-        PREGELIX_RETURN_NOT_OK(RunJob(*cluster_, load, ctx));
-        result->load_sim_seconds += SimulatedStepSeconds(
-            Delta(before, cluster_->SnapshotAll()), cost_params_);
-        PREGELIX_RETURN_NOT_OK(init_gs_after_load());
-      }
+      if (restart) PREGELIX_RETURN_NOT_OK(load_from_input());
       continue;  // re-evaluate the loop with the recovered GS
     }
 

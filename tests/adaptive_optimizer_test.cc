@@ -12,7 +12,9 @@
 // sparse tail makes the full-outer -> left-outer join flip deterministic,
 // and the test reads it back from all three observable channels: the
 // JobResult decision trail, the `plan.switch` event journal, and the
-// `pregelix.optimizer.*` metrics.
+// `pregelix.optimizer.*` metrics. Then the chooser's acceptance bar: on
+// SSSP and PageRank, all-kAuto stays within 5% of the simulated time of
+// the best of the four static join x group-by plans.
 
 #include "pregel/plan_optimizer.h"
 
@@ -32,6 +34,7 @@
 #include "common/temp_dir.h"
 #include "dataflow/cluster.h"
 #include "dfs/dfs.h"
+#include "graph/generator.h"
 #include "graph/ref_algos.h"
 #include "graph/text_io.h"
 #include "pregel/runtime.h"
@@ -511,6 +514,82 @@ TEST(AdaptiveEndToEndTest, CcUnderAutoFlipsJoinToLeftOuter) {
   ASSERT_EQ(out.size(), ref.size());
   for (const auto& [vid, component] : out) {
     EXPECT_EQ(component, ref[vid]) << "vid " << vid;
+  }
+}
+
+/// One whole job's simulated seconds (load + supersteps) on a fresh
+/// 2-worker cluster with 1 MB per worker, so the 6,000-vertex graphs below
+/// spill and the plans differ in I/O as well as in CPU. Runs PageRank on
+/// `web` or SSSP on `btc`.
+void RunForSimSeconds(DistributedFileSystem& dfs, const std::string& root,
+                      bool pagerank, JoinStrategy join,
+                      GroupByStrategy groupby, GroupByConnector connector,
+                      VertexStorage storage, double* sim_seconds) {
+  ClusterConfig config;
+  config.num_workers = 2;
+  config.worker_ram_bytes = 1u << 20;
+  config.frame_size = 8 * 1024;
+  config.page_size = 2 * 1024;
+  config.temp_root = root;
+  SimulatedCluster cluster(config);
+  PregelixRuntime runtime(&cluster, &dfs);
+  SsspProgram sssp(0);
+  SsspProgram::Adapter sssp_adapter(&sssp);
+  PageRankProgram ranks(5);
+  PageRankProgram::Adapter ranks_adapter(&ranks);
+  PregelixJobConfig job;
+  job.name = "auto-vs-static";
+  job.input_dir = pagerank ? "web" : "btc";
+  job.join = join;
+  job.groupby = groupby;
+  job.groupby_connector = connector;
+  job.storage = storage;
+  JobResult result;
+  const Status s = runtime.Run(
+      pagerank ? static_cast<PregelProgram*>(&ranks_adapter) : &sssp_adapter,
+      job, &result);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  *sim_seconds = result.total_sim_seconds;
+}
+
+TEST(AdaptiveEndToEndTest, AutoTracksBestStaticPlan) {
+  TempDir dir("auto-vs-static");
+  DistributedFileSystem dfs(dir.Sub("dfs"));
+  GraphStats stats;
+  ASSERT_TRUE(GenerateBtcLike(dfs, "btc", 4, 6000, 8.94, 8000, &stats).ok());
+  ASSERT_TRUE(
+      GenerateWebmapLike(dfs, "web", 4, 6000, 8.0, 7000, &stats).ok());
+
+  // SSSP wins with the left-outer probe once its frontier thins; PageRank
+  // keeps every vertex live and wins with the full-outer scan throughout.
+  // kAuto is told neither.
+  int runs = 0;
+  auto next_root = [&] { return dir.Sub("cluster-" + std::to_string(runs++)); };
+  for (const bool pagerank : {false, true}) {
+    SCOPED_TRACE(pagerank ? "pagerank on web" : "sssp on btc");
+    std::ostringstream arms;
+    double best = 0;
+    for (JoinStrategy join :
+         {JoinStrategy::kFullOuter, JoinStrategy::kLeftOuter}) {
+      for (GroupByStrategy groupby :
+           {GroupByStrategy::kSort, GroupByStrategy::kHashSort}) {
+        double seconds = 0;
+        ASSERT_NO_FATAL_FAILURE(RunForSimSeconds(
+            dfs, next_root(), pagerank, join, groupby,
+            GroupByConnector::kUnmerged, VertexStorage::kBTree, &seconds));
+        arms << JoinStrategyName(join) << "/" << GroupByStrategyName(groupby)
+             << " " << seconds << "s; ";
+        if (best == 0 || seconds < best) best = seconds;
+      }
+    }
+    double automatic = 0;
+    ASSERT_NO_FATAL_FAILURE(RunForSimSeconds(
+        dfs, next_root(), pagerank, JoinStrategy::kAuto,
+        GroupByStrategy::kAuto, GroupByConnector::kAuto, VertexStorage::kAuto,
+        &automatic));
+    ASSERT_GT(best, 0);
+    EXPECT_LE(automatic / best, 1.05)
+        << "all-kAuto " << automatic << "s vs static plans: " << arms.str();
   }
 }
 

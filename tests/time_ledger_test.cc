@@ -3,11 +3,15 @@
 // accounting, guard-misuse counting, and end-to-end surface consistency —
 // after a full PageRank run, /profilez (JSON and collapsed), the Prometheus
 // exposition, and TakeSnapshot must all report the same totals, with zero
-// unattributed nanoseconds.
+// unattributed nanoseconds. Finally, the ledger observes and never steers:
+// SSSP and PageRank run the same supersteps, dump the same bytes and meter
+// the same simulated time with the ledger off as with it on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -380,6 +384,136 @@ TEST(TimeLedgerE2eTest, FullRunConservesAndAllSurfacesAgree) {
   std::ostringstream events;
   EventJournal::Global().WriteJsonl(events, journal_start, 0);
   EXPECT_NE(events.str().find("ledger_ns"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Ledger off vs on
+
+/// What one job run leaves behind for the off/on comparison.
+struct JobArm {
+  int64_t supersteps = 0;
+  double sim_seconds = 0;
+  std::string output;  ///< every output part, concatenated in name order
+};
+
+/// Runs PageRank on `web` or SSSP on `btc` on a fresh 2-worker cluster with
+/// 1 MB per worker, dumping to `output`.
+void RunJobArm(DistributedFileSystem& dfs, const std::string& root,
+               bool pagerank, const std::string& output, JobArm* arm) {
+  {
+    ClusterConfig config;
+    config.num_workers = 2;
+    config.worker_ram_bytes = 1u << 20;
+    config.frame_size = 8 * 1024;
+    config.page_size = 2 * 1024;
+    config.temp_root = root;
+    SimulatedCluster cluster(config);
+    PregelixRuntime runtime(&cluster, &dfs);
+    SsspProgram sssp(0);
+    SsspProgram::Adapter sssp_adapter(&sssp);
+    PageRankProgram ranks(5);
+    PageRankProgram::Adapter ranks_adapter(&ranks);
+    PregelixJobConfig job;
+    job.name = "ledger-off-on";
+    job.input_dir = pagerank ? "web" : "btc";
+    job.output_dir = output;
+    JobResult result;
+    const Status s = runtime.Run(
+        pagerank ? static_cast<PregelProgram*>(&ranks_adapter)
+                 : &sssp_adapter,
+        job, &result);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    arm->supersteps = result.supersteps;
+    arm->sim_seconds = result.total_sim_seconds;
+  }
+  // The cluster is gone, so every engine thread has detached.
+  std::vector<std::string> parts;
+  ASSERT_TRUE(dfs.List(output, &parts).ok());
+  for (const std::string& part : parts) {
+    std::string contents;
+    ASSERT_TRUE(dfs.Read(output + "/" + part, &contents).ok());
+    arm->output += part + ":\n" + contents;
+  }
+}
+
+/// Compares two runs' output line by line. SSSP is compared byte for byte.
+/// PageRank sums floating-point messages in arrival order, and when the
+/// group-by spills, senders' arrival order shapes the partial sums, so two
+/// identical runs can differ in the last bits whether the ledger is on or
+/// off. Its values are compared to a 1e-12 relative bound instead.
+void ExpectSameOutput(const std::string& off, const std::string& on,
+                      bool float_values) {
+  if (!float_values) {
+    EXPECT_EQ(off, on) << "the ledger changed the computed values";
+    return;
+  }
+  std::istringstream off_lines(off), on_lines(on);
+  std::string a, b;
+  int64_t lines = 0;
+  while (std::getline(off_lines, a)) {
+    ASSERT_TRUE(std::getline(on_lines, b)) << "ledger-on output is shorter";
+    ++lines;
+    if (a == b) continue;
+    std::istringstream fa(a), fb(b);
+    int64_t vid_a = -1, vid_b = -2;
+    double va = 0, vb = 0;
+    ASSERT_TRUE((fa >> vid_a >> va) && (fb >> vid_b >> vb))
+        << "line " << lines << ": '" << a << "' vs '" << b << "'";
+    ASSERT_EQ(vid_a, vid_b) << "line " << lines;
+    ASSERT_LE(std::abs(va - vb), 1e-12 * std::max(std::abs(va), std::abs(vb)))
+        << "vid " << vid_a << ": " << a << " vs " << b;
+  }
+  EXPECT_FALSE(std::getline(on_lines, b)) << "ledger-on output is longer";
+}
+
+/// Turns the global ledger off for its scope, and back on at exit even when
+/// a failed assertion returns from the test early.
+class LedgerOffScope {
+ public:
+  LedgerOffScope() { TimeLedger::Global().SetEnabled(false); }
+  ~LedgerOffScope() { TimeLedger::Global().SetEnabled(true); }
+};
+
+TEST(TimeLedgerE2eTest, LedgerOffRunMatchesLedgerOn) {
+  TempDir dir("ledger-off-on");
+  DistributedFileSystem dfs(dir.Sub("dfs"));
+  GraphStats stats;
+  ASSERT_TRUE(GenerateBtcLike(dfs, "btc", 4, 3000, 8.94, 5000, &stats).ok());
+  ASSERT_TRUE(
+      GenerateWebmapLike(dfs, "web", 4, 3000, 8.0, 4000, &stats).ok());
+
+  for (const bool pagerank : {false, true}) {
+    SCOPED_TRACE(pagerank ? "pagerank on web" : "sssp on btc");
+    const std::string name = pagerank ? "pagerank" : "sssp";
+
+    // Ledger off first: every attach is refused and every guard is inert,
+    // so the run must leave the books empty.
+    TimeLedger::Global().Reset();
+    JobArm off;
+    {
+      LedgerOffScope ledger_off;
+      ASSERT_NO_FATAL_FAILURE(RunJobArm(dfs, dir.Sub(name + "-off"), pagerank,
+                                        "out-" + name + "-off", &off));
+      const TimeLedgerSnapshot snap = TimeLedger::Global().TakeSnapshot();
+      EXPECT_EQ(snap.elapsed_ns, 0);
+      EXPECT_EQ(snap.attributed_ns(), 0);
+    }
+
+    // Ledger on, from clean books, so conservation describes this run alone.
+    TimeLedger::Global().Reset();
+    JobArm on;
+    ASSERT_NO_FATAL_FAILURE(RunJobArm(dfs, dir.Sub(name + "-on"), pagerank,
+                                      "out-" + name + "-on", &on));
+    EXPECT_EQ(TimeLedger::Global().TakeSnapshot().unattributed_ns, 0);
+
+    EXPECT_EQ(off.supersteps, on.supersteps);
+    ASSERT_FALSE(on.output.empty());
+    ExpectSameOutput(off.output, on.output, /*float_values=*/pagerank);
+    ASSERT_GT(off.sim_seconds, 0);
+    EXPECT_LE(std::abs(on.sim_seconds / off.sim_seconds - 1.0), 0.02)
+        << "simulated seconds " << off.sim_seconds << " off vs "
+        << on.sim_seconds << " on";
+  }
 }
 
 }  // namespace
