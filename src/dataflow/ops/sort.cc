@@ -16,14 +16,17 @@ namespace pregelix {
 
 namespace {
 
-/// Sequential cursor over one run file.
+/// Sequential cursor over one run (an extent of the spill file).
 class RunCursor {
  public:
-  RunCursor(std::string path, int field_count, WorkerMetrics* metrics)
-      : path_(std::move(path)), accessor_(field_count), metrics_(metrics) {}
+  RunCursor(const std::string& path, RunExtent extent, int field_count,
+            WorkerMetrics* metrics)
+      : path_(path), extent_(extent), accessor_(field_count),
+        metrics_(metrics) {}
 
   Status Init() {
-    PREGELIX_RETURN_NOT_OK(RunFileReader::Open(path_, metrics_, &reader_));
+    PREGELIX_RETURN_NOT_OK(
+        RunFileReader::Open(path_, metrics_, &reader_, extent_));
     return Advance();
   }
 
@@ -39,12 +42,6 @@ class RunCursor {
 
   Slice field(int f) const { return accessor_.field(index_, f); }
   int field_count() const { return accessor_.field_count(); }
-
-  /// Removes the backing file (runs are single-use).
-  void Discard() {
-    reader_.reset();
-    DeleteFileIfExists(path_);
-  }
 
  private:
   Status Advance() {
@@ -64,7 +61,8 @@ class RunCursor {
     }
   }
 
-  std::string path_;
+  const std::string& path_;
+  const RunExtent extent_;
   std::unique_ptr<RunFileReader> reader_;
   std::string frame_;
   FrameTupleAccessor accessor_;
@@ -227,84 +225,90 @@ Status MergeCursors(std::vector<std::unique_ptr<RunCursor>>& cursors,
 namespace internal_sort {
 
 // ---------------------------------------------------------------------------
-// RunWriter
+// SpillFile
 
-RunWriter::RunWriter(const SortConfig& config, const std::string& path)
-    : appender_(config.frame_size, config.field_count) {
-  open_status_ = RunFileWriter::Open(path, config.metrics, &file_);
+SpillFile::SpillFile(const SortConfig& config)
+    : path_(config.scratch_prefix + "-spill"),
+      metrics_(config.metrics),
+      appender_(config.frame_size, config.field_count) {}
+
+SpillFile::~SpillFile() {
+  if (writer_ != nullptr) {
+    writer_.reset();
+    DeleteFileIfExists(path_);
+  }
 }
 
-Status RunWriter::Append(std::span<const Slice> fields) {
-  PREGELIX_RETURN_NOT_OK(open_status_);
+Status SpillFile::AppendFrame() {
+  if (writer_ == nullptr) {
+    PREGELIX_RETURN_NOT_OK(RunFileWriter::Open(path_, metrics_, &writer_));
+  }
+  if (appender_.empty()) return Status::OK();
+  const Slice block = appender_.FinalizeView();
+  PREGELIX_RETURN_NOT_OK(writer_->AppendBlock(block));
+  open_run_bytes_ += block.size();
+  appender_.Reset();
+  return Status::OK();
+}
+
+Status SpillFile::Append(std::span<const Slice> fields) {
   if (!appender_.Append(fields)) {
-    const Slice block = appender_.FinalizeView();
-    bytes_written_ += block.size();
-    PREGELIX_RETURN_NOT_OK(file_->AppendBlock(block));
-    appender_.Reset();
+    PREGELIX_RETURN_NOT_OK(AppendFrame());
     PREGELIX_CHECK(appender_.Append(fields));
   }
   return Status::OK();
 }
 
-Status RunWriter::Finish() {
-  PREGELIX_RETURN_NOT_OK(open_status_);
-  if (!appender_.empty()) {
-    const Slice block = appender_.FinalizeView();
-    bytes_written_ += block.size();
-    PREGELIX_RETURN_NOT_OK(file_->AppendBlock(block));
-    appender_.Reset();
-  }
-  return file_->Finish();
+Status SpillFile::EndRun(RunExtent* extent) {
+  PREGELIX_RETURN_NOT_OK(AppendFrame());
+  PREGELIX_RETURN_NOT_OK(writer_->Flush());
+  *extent = RunExtent{run_begin_, writer_->bytes_written()};
+  run_begin_ = extent->end;
+  run_bytes_ = open_run_bytes_;
+  open_run_bytes_ = 0;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // MergeRuns
 
 Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
-                 std::vector<std::string> run_paths, const TupleEmitFn& emit) {
+                 SpillFile* file, std::vector<RunExtent> runs,
+                 const TupleEmitFn& emit) {
   TraceSpan span(config.tracer, "sort.merge", trace_cat::kDataflow,
                  config.worker);
-  span.AddArg("runs", static_cast<int64_t>(run_paths.size()));
+  span.AddArg("runs", static_cast<int64_t>(runs.size()));
   span.AddArg("fanin", config.merge_fanin);
-  uint64_t pass_id = 0;
-  // Intermediate passes until the fan-in fits.
-  while (static_cast<int>(run_paths.size()) > config.merge_fanin) {
-    std::vector<std::string> next_paths;
-    for (size_t start = 0; start < run_paths.size();
-         start += config.merge_fanin) {
-      const size_t end =
-          std::min(run_paths.size(), start + config.merge_fanin);
+  auto open_cursors = [&](size_t start, size_t end,
+                          std::vector<std::unique_ptr<RunCursor>>* cursors) {
+    for (size_t i = start; i < end; ++i) {
+      cursors->push_back(std::make_unique<RunCursor>(
+          file->path(), runs[i], config.field_count, config.metrics));
+      PREGELIX_RETURN_NOT_OK(cursors->back()->Init());
+    }
+    return Status::OK();
+  };
+  // Intermediate passes until the fan-in fits; their outputs are appended
+  // to the same spill file.
+  while (static_cast<int>(runs.size()) > config.merge_fanin) {
+    std::vector<RunExtent> next_runs;
+    for (size_t start = 0; start < runs.size(); start += config.merge_fanin) {
+      const size_t end = std::min(runs.size(), start + config.merge_fanin);
       std::vector<std::unique_ptr<RunCursor>> cursors;
-      for (size_t i = start; i < end; ++i) {
-        cursors.push_back(std::make_unique<RunCursor>(
-            run_paths[i], config.field_count, config.metrics));
-        PREGELIX_RETURN_NOT_OK(cursors.back()->Init());
-      }
-      const std::string out_path = config.scratch_prefix + "-merge-" +
-                                   std::to_string(pass_id++) ;
-      RunWriter writer(config, out_path);
+      PREGELIX_RETURN_NOT_OK(open_cursors(start, end, &cursors));
       PREGELIX_RETURN_NOT_OK(MergeCursors(
           cursors, config.key_field, combiner, /*apply_finish=*/false,
           config.metrics,
-          [&](std::span<const Slice> fields) { return writer.Append(fields); }));
-      PREGELIX_RETURN_NOT_OK(writer.Finish());
-      for (auto& cursor : cursors) cursor->Discard();
-      next_paths.push_back(out_path);
+          [&](std::span<const Slice> fields) { return file->Append(fields); }));
+      PREGELIX_RETURN_NOT_OK(file->EndRun(&next_runs.emplace_back()));
     }
-    run_paths = std::move(next_paths);
+    runs = std::move(next_runs);
   }
   // Final pass.
   std::vector<std::unique_ptr<RunCursor>> cursors;
-  for (const std::string& path : run_paths) {
-    cursors.push_back(std::make_unique<RunCursor>(path, config.field_count,
-                                                  config.metrics));
-    PREGELIX_RETURN_NOT_OK(cursors.back()->Init());
-  }
-  PREGELIX_RETURN_NOT_OK(MergeCursors(cursors, config.key_field, combiner,
-                                      /*apply_finish=*/true, config.metrics,
-                                      emit));
-  for (auto& cursor : cursors) cursor->Discard();
-  return Status::OK();
+  PREGELIX_RETURN_NOT_OK(open_cursors(0, runs.size(), &cursors));
+  return MergeCursors(cursors, config.key_field, combiner,
+                      /*apply_finish=*/true, config.metrics, emit);
 }
 
 }  // namespace internal_sort
@@ -335,17 +339,10 @@ constexpr size_t kInitialPoolBytes = 1u << 20;
 
 ExternalSortGrouper::ExternalSortGrouper(const SortConfig& config,
                                          GroupCombiner combiner)
-    : config_(config), combiner_(std::move(combiner)) {
+    : config_(config), combiner_(std::move(combiner)), spill_(config) {
   if (combiner_.valid()) {
     PREGELIX_CHECK(config_.field_count == 2 && config_.key_field == 0)
         << "combining group-by operates on (key, payload) tuples";
-  }
-}
-
-ExternalSortGrouper::~ExternalSortGrouper() {
-  // Drop any unconsumed runs.
-  for (const std::string& path : run_paths_) {
-    DeleteFileIfExists(path);
   }
 }
 
@@ -501,21 +498,19 @@ Status ExternalSortGrouper::SpillBatch() {
   TraceSpan span(config_.tracer, "sort.run_generation", trace_cat::kDataflow,
                  config_.worker);
   span.AddArg("tuples", static_cast<int64_t>(entries_.size()));
-  span.AddArg("run", static_cast<int64_t>(next_run_id_));
+  span.AddArg("run", static_cast<int64_t>(runs_.size()));
   if (config_.stats != nullptr) {
     config_.stats->UpdateMemHwm(BatchBytes());
   }
-  const std::string path =
-      config_.scratch_prefix + "-run-" + std::to_string(next_run_id_++);
-  internal_sort::RunWriter writer(config_, path);
   PREGELIX_RETURN_NOT_OK(DrainBatchSorted(
-      [&](std::span<const Slice> fields) { return writer.Append(fields); }));
-  PREGELIX_RETURN_NOT_OK(writer.Finish());
-  span.AddArg("bytes", static_cast<int64_t>(writer.bytes_written()));
+      [&](std::span<const Slice> fields) { return spill_.Append(fields); }));
+  RunExtent run;
+  PREGELIX_RETURN_NOT_OK(spill_.EndRun(&run));
+  span.AddArg("bytes", static_cast<int64_t>(spill_.run_bytes()));
   if (config_.stats != nullptr) {
-    config_.stats->AddSpill(writer.bytes_written());
+    config_.stats->AddSpill(spill_.run_bytes());
   }
-  run_paths_.push_back(path);
+  runs_.push_back(run);
   return Status::OK();
 }
 
@@ -533,12 +528,10 @@ Status ExternalSortGrouper::Finish(const TupleEmitFn& emit) {
     // would otherwise finish accumulators the downstream still folds.)
     PREGELIX_CHECK(!combiner_.valid() || !combiner_.finish);
     PREGELIX_RETURN_NOT_OK(DrainBatchSorted(emit));
-    if (run_paths_.empty()) return Status::OK();
-    std::vector<std::string> runs = std::move(run_paths_);
-    run_paths_.clear();
-    return internal_sort::MergeRuns(config_, combiner_, std::move(runs), emit);
+    if (runs_.empty()) return Status::OK();
+    return internal_sort::MergeRuns(config_, combiner_, &spill_, runs_, emit);
   }
-  if (run_paths_.empty()) {
+  if (runs_.empty()) {
     // Fully in-memory: a single sorted drain, applying the final transform.
     if (combiner_.valid() && combiner_.finish) {
       std::string finished_acc;
@@ -554,9 +547,7 @@ Status ExternalSortGrouper::Finish(const TupleEmitFn& emit) {
   if (!entries_.empty()) {
     PREGELIX_RETURN_NOT_OK(SpillBatch());
   }
-  std::vector<std::string> runs = std::move(run_paths_);
-  run_paths_.clear();
-  return internal_sort::MergeRuns(config_, combiner_, std::move(runs), emit);
+  return internal_sort::MergeRuns(config_, combiner_, &spill_, runs_, emit);
 }
 
 // ---------------------------------------------------------------------------
@@ -564,16 +555,10 @@ Status ExternalSortGrouper::Finish(const TupleEmitFn& emit) {
 
 HashSortGrouper::HashSortGrouper(const SortConfig& config,
                                  GroupCombiner combiner)
-    : config_(config), combiner_(std::move(combiner)) {
+    : config_(config), combiner_(std::move(combiner)), spill_(config) {
   PREGELIX_CHECK(combiner_.valid())
       << "HashSort group-by requires combine hooks";
   PREGELIX_CHECK(config_.field_count == 2 && config_.key_field == 0);
-}
-
-HashSortGrouper::~HashSortGrouper() {
-  for (const std::string& path : run_paths_) {
-    DeleteFileIfExists(path);
-  }
 }
 
 size_t HashSortGrouper::TableBytes() const {
@@ -684,7 +669,7 @@ Status HashSortGrouper::SpillTable() {
   TraceSpan span(config_.tracer, "hashsort.run_generation",
                  trace_cat::kDataflow, config_.worker);
   span.AddArg("groups", static_cast<int64_t>(groups_.size()));
-  span.AddArg("run", static_cast<int64_t>(next_run_id_));
+  span.AddArg("run", static_cast<int64_t>(runs_.size()));
   if (config_.stats != nullptr) {
     config_.stats->UpdateMemHwm(TableBytes());
   }
@@ -693,19 +678,17 @@ Status HashSortGrouper::SpillTable() {
   if (config_.metrics != nullptr) {
     config_.metrics->AddCpuOps(order.size());
   }
-  const std::string path =
-      config_.scratch_prefix + "-hrun-" + std::to_string(next_run_id_++);
-  internal_sort::RunWriter writer(config_, path);
   for (uint32_t g : order) {
     const Slice out[2] = {GroupKey(groups_[g]), Slice(groups_[g].acc)};
-    PREGELIX_RETURN_NOT_OK(writer.Append(out));
+    PREGELIX_RETURN_NOT_OK(spill_.Append(out));
   }
-  PREGELIX_RETURN_NOT_OK(writer.Finish());
-  span.AddArg("bytes", static_cast<int64_t>(writer.bytes_written()));
+  RunExtent run;
+  PREGELIX_RETURN_NOT_OK(spill_.EndRun(&run));
+  span.AddArg("bytes", static_cast<int64_t>(spill_.run_bytes()));
   if (config_.stats != nullptr) {
-    config_.stats->AddSpill(writer.bytes_written());
+    config_.stats->AddSpill(spill_.run_bytes());
   }
-  run_paths_.push_back(path);
+  runs_.push_back(run);
   ReleaseTable();
   return Status::OK();
 }
@@ -761,12 +744,10 @@ Status HashSortGrouper::Finish(const TupleEmitFn& emit) {
     // grouper's Finish).
     PREGELIX_CHECK(!combiner_.finish);
     PREGELIX_RETURN_NOT_OK(EmitTable(emit));
-    if (run_paths_.empty()) return Status::OK();
-    std::vector<std::string> runs = std::move(run_paths_);
-    run_paths_.clear();
-    return internal_sort::MergeRuns(config_, combiner_, std::move(runs), emit);
+    if (runs_.empty()) return Status::OK();
+    return internal_sort::MergeRuns(config_, combiner_, &spill_, runs_, emit);
   }
-  if (run_paths_.empty()) {
+  if (runs_.empty()) {
     ScopedTimeCategory group_by(TimeCategory::kGroupBy);
     std::vector<uint32_t> order;
     SortedOrder(&order);
@@ -785,9 +766,7 @@ Status HashSortGrouper::Finish(const TupleEmitFn& emit) {
     return Status::OK();
   }
   PREGELIX_RETURN_NOT_OK(SpillTable());
-  std::vector<std::string> runs = std::move(run_paths_);
-  run_paths_.clear();
-  return internal_sort::MergeRuns(config_, combiner_, std::move(runs), emit);
+  return internal_sort::MergeRuns(config_, combiner_, &spill_, runs_, emit);
 }
 
 // ---------------------------------------------------------------------------

@@ -44,7 +44,9 @@ struct SortConfig {
   int key_field = 0;
   size_t memory_budget_bytes = 1 << 20;  ///< in-memory batch / table budget
   size_t frame_size = 32 * 1024;
-  std::string scratch_prefix;  ///< run files: <prefix>-run-<i>
+  /// The grouper's one spill file is `<prefix>-spill`: every sorted run and
+  /// merge-pass output is an extent of it (DESIGN.md §19).
+  std::string scratch_prefix;
   WorkerMetrics* metrics = nullptr;
   Tracer* tracer = nullptr;  ///< optional; spans for run generation vs merge
   int worker = 0;            ///< worker id stamped on sort spans
@@ -54,6 +56,51 @@ struct SortConfig {
   /// spill/finish boundaries and each spilled run's byte volume into it.
   OperatorStats* stats = nullptr;
 };
+
+namespace internal_sort {
+
+/// A grouper's one scratch file, `<scratch_prefix>-spill`. Every sorted run
+/// and every intermediate merge-pass output is appended to it as an extent,
+/// written as frames. The file is created by the first run and deleted with
+/// this object, so consumed extents are freed only then (DESIGN.md §19).
+/// Errors are sticky (RunFileWriter): after a failed append or flush every
+/// call returns that status and no further extent is handed out.
+class SpillFile {
+ public:
+  explicit SpillFile(const SortConfig& config);
+  ~SpillFile();
+
+  SpillFile(const SpillFile&) = delete;
+  SpillFile& operator=(const SpillFile&) = delete;
+
+  /// Appends one tuple to the open run.
+  Status Append(std::span<const Slice> fields);
+  /// Ends the open run (possibly empty) and returns its extent.
+  Status EndRun(RunExtent* extent);
+  /// Frame bytes of the last ended run, block headers excluded.
+  uint64_t run_bytes() const { return run_bytes_; }
+  const std::string& path() const { return path_; }
+
+ private:
+  Status AppendFrame();
+
+  std::string path_;
+  WorkerMetrics* metrics_;
+  FrameTupleAppender appender_;
+  std::unique_ptr<RunFileWriter> writer_;  ///< null until the first run
+  uint64_t run_begin_ = 0;
+  uint64_t open_run_bytes_ = 0;
+  uint64_t run_bytes_ = 0;
+};
+
+/// K-way merge (with optional combining) over runs of one spill file;
+/// shared by both spilling groupers. Multi-pass when the number of runs
+/// exceeds the fan-in: each pass appends its outputs to the same file.
+Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
+                 SpillFile* file, std::vector<RunExtent> runs,
+                 const TupleEmitFn& emit);
+
+}  // namespace internal_sort
 
 /// External sort with optional early aggregation (paper Section 4
 /// "sort-based group-by": the combine function is pushed into both the
@@ -67,7 +114,6 @@ struct SortConfig {
 class ExternalSortGrouper {
  public:
   ExternalSortGrouper(const SortConfig& config, GroupCombiner combiner = {});
-  ~ExternalSortGrouper();
 
   Status Add(std::span<const Slice> fields);
 
@@ -89,7 +135,7 @@ class ExternalSortGrouper {
   /// then be called with this same sink.
   void SetEagerSink(TupleEmitFn sink) { eager_sink_ = std::move(sink); }
 
-  int runs_spilled() const { return static_cast<int>(run_paths_.size()); }
+  int runs_spilled() const { return static_cast<int>(runs_.size()); }
 
  private:
   Status SpillBatch();
@@ -119,7 +165,8 @@ class ExternalSortGrouper {
   /// Key field of one batch entry, decoded from the pool.
   Slice EntryKey(const Entry& e) const;
   std::vector<Entry> entries_;
-  std::vector<std::string> run_paths_;
+  internal_sort::SpillFile spill_;
+  std::vector<RunExtent> runs_;  ///< spilled runs, in creation order
   std::string acc_;  ///< reused accumulator buffer for combined drains
   TupleEmitFn eager_sink_;  ///< eager shuffle sink; empty = spill to runs
   /// The last drained batch's size (tuples in, distinct groups out): the
@@ -133,7 +180,6 @@ class ExternalSortGrouper {
   /// sort/group loops run on the entry strip alone); -1 = empty batch,
   /// -2 = mixed or long keys.
   int64_t batch_key_size_ = -1;
-  uint64_t next_run_id_ = 0;
   bool finished_ = false;
 };
 
@@ -153,7 +199,6 @@ class ExternalSortGrouper {
 class HashSortGrouper {
  public:
   HashSortGrouper(const SortConfig& config, GroupCombiner combiner);
-  ~HashSortGrouper();
 
   Status Add(std::span<const Slice> fields);
   Status Finish(const TupleEmitFn& emit);
@@ -165,7 +210,7 @@ class HashSortGrouper {
   /// contract.
   void SetEagerSink(TupleEmitFn sink) { eager_sink_ = std::move(sink); }
 
-  int runs_spilled() const { return static_cast<int>(run_paths_.size()); }
+  int runs_spilled() const { return static_cast<int>(runs_.size()); }
 
  private:
   struct Group {
@@ -197,7 +242,8 @@ class HashSortGrouper {
   std::vector<Group> groups_;    ///< insertion order
   std::vector<uint32_t> slots_;  ///< open addressing; group index + 1, 0 empty
   int64_t acc_bytes_ = 0;        ///< signed sum of acc sizes (steps may shrink)
-  std::vector<std::string> run_paths_;
+  internal_sort::SpillFile spill_;
+  std::vector<RunExtent> runs_;  ///< spilled runs, in creation order
   TupleEmitFn eager_sink_;  ///< eager shuffle sink; empty = spill to runs
   /// Tuples absorbed since the table was last drained; with groups_.size()
   /// this is the in-table combining ratio the eager-ship decision keys off.
@@ -206,7 +252,6 @@ class HashSortGrouper {
   /// (keys are deduped), so the spill sort runs over a contiguous
   /// (norm, index) strip; -1 = empty, -2 = mixed or long keys.
   int64_t uniform_key_size_ = -1;
-  uint64_t next_run_id_ = 0;
   bool finished_ = false;
 };
 
@@ -233,33 +278,6 @@ class PreclusteredGrouper {
   std::string acc_;
   bool has_group_ = false;
 };
-
-namespace internal_sort {
-
-/// K-way merge (with optional combining) over run files written by the
-/// groupers; shared by both spilling implementations. Multi-pass when the
-/// number of runs exceeds the fan-in.
-Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
-                 std::vector<std::string> run_paths, const TupleEmitFn& emit);
-
-/// Writes tuples to a run file as frames. Helper for the groupers.
-class RunWriter {
- public:
-  RunWriter(const SortConfig& config, const std::string& path);
-  Status Append(std::span<const Slice> fields);
-  Status Finish();
-
-  /// Frame bytes written to the run file so far (complete after Finish).
-  uint64_t bytes_written() const { return bytes_written_; }
-
- private:
-  FrameTupleAppender appender_;
-  std::unique_ptr<RunFileWriter> file_;
-  Status open_status_;
-  uint64_t bytes_written_ = 0;
-};
-
-}  // namespace internal_sort
 
 }  // namespace pregelix
 

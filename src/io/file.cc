@@ -46,6 +46,8 @@ WritableFile::WritableFile(int fd, std::string path, WorkerMetrics* metrics)
 
 Status WritableFile::Open(const std::string& path, WorkerMetrics* metrics,
                           std::unique_ptr<WritableFile>* out) {
+  // Time ledger: create/open, close and unlink are file-system writes.
+  ScopedTimeCategory io_write(TimeCategory::kIoWrite);
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return Status::IoError(ErrnoMessage("open " + path));
@@ -101,6 +103,7 @@ Status WritableFile::Flush() { return FlushBuffer(); }
 
 Status WritableFile::Close() {
   if (closed_) return Status::OK();
+  ScopedTimeCategory io_write(TimeCategory::kIoWrite);
   Status s = FlushBuffer();
   if (::close(fd_) != 0 && s.ok()) {
     s = Status::IoError(ErrnoMessage("close " + path_));
@@ -118,6 +121,7 @@ RandomAccessFile::RandomAccessFile(int fd, std::string path, uint64_t size,
 
 Status RandomAccessFile::Open(const std::string& path, WorkerMetrics* metrics,
                               std::unique_ptr<RandomAccessFile>* out) {
+  ScopedTimeCategory io_read(TimeCategory::kIoRead);
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     return Status::IoError(ErrnoMessage("open " + path));
@@ -132,7 +136,10 @@ Status RandomAccessFile::Open(const std::string& path, WorkerMetrics* metrics,
   return Status::OK();
 }
 
-RandomAccessFile::~RandomAccessFile() { ::close(fd_); }
+RandomAccessFile::~RandomAccessFile() {
+  ScopedTimeCategory io_write(TimeCategory::kIoWrite);
+  ::close(fd_);
+}
 
 Status RandomAccessFile::Read(uint64_t offset, size_t n, char* scratch) const {
   PREGELIX_RETURN_NOT_OK(fault::MaybeFail("io.file.read"));
@@ -187,7 +194,10 @@ Status GetFileSize(const std::string& path, uint64_t* size) {
   return Status::OK();
 }
 
-void DeleteFileIfExists(const std::string& path) { ::unlink(path.c_str()); }
+void DeleteFileIfExists(const std::string& path) {
+  ScopedTimeCategory io_write(TimeCategory::kIoWrite);
+  ::unlink(path.c_str());
+}
 
 bool FileExists(const std::string& path) {
   struct stat st;

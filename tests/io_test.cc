@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/metrics.h"
+#include "common/serde.h"
 #include "common/temp_dir.h"
 #include "io/file.h"
 #include "io/run_file.h"
@@ -125,6 +126,45 @@ TEST_F(IoTest, RunFileReaderReset) {
   r->Reset();
   ASSERT_TRUE(r->NextBlock(&block).ok());
   EXPECT_EQ(block, "x");
+}
+
+// Two runs share one file as extents. A corrupted length header in the
+// first run that claims more bytes than its extent holds must surface as
+// Corruption: the reader may not run on into the second run's blocks.
+TEST_F(IoTest, RunFileReaderStopsAtItsExtent) {
+  const std::string path = dir_.path() + "/spill";
+  std::unique_ptr<RunFileWriter> w;
+  ASSERT_TRUE(RunFileWriter::Open(path, nullptr, &w).ok());
+  ASSERT_TRUE(w->AppendBlock(Slice("first-run")).ok());
+  ASSERT_TRUE(w->Flush().ok());
+  const RunExtent first{0, w->bytes_written()};
+  ASSERT_TRUE(w->AppendBlock(Slice("second-run")).ok());
+  ASSERT_TRUE(w->Finish().ok());
+  const RunExtent second{first.end, w->bytes_written()};
+
+  std::unique_ptr<RunFileReader> r;
+  ASSERT_TRUE(RunFileReader::Open(path, nullptr, &r, first).ok());
+  std::string block;
+  ASSERT_TRUE(r->NextBlock(&block).ok());
+  EXPECT_EQ(block, "first-run");
+  EXPECT_TRUE(r->NextBlock(&block).IsNotFound());
+
+  // Let the first header span both runs' bytes.
+  {
+    std::unique_ptr<RandomAccessFile> f;
+    ASSERT_TRUE(RandomAccessFile::Open(path, nullptr, &f).ok());
+    char header[4];
+    EncodeFixed32(header, static_cast<uint32_t>(second.end - 4));
+    ASSERT_TRUE(f->Write(0, Slice(header, 4)).ok());
+  }
+  ASSERT_TRUE(RunFileReader::Open(path, nullptr, &r, first).ok());
+  const Status s = r->NextBlock(&block);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  // The second run's extent is intact.
+  ASSERT_TRUE(RunFileReader::Open(path, nullptr, &r, second).ok());
+  ASSERT_TRUE(r->NextBlock(&block).ok());
+  EXPECT_EQ(block, "second-run");
+  EXPECT_TRUE(r->NextBlock(&block).IsNotFound());
 }
 
 TEST_F(IoTest, EmptyRunFile) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <new>
 #include <string>
@@ -357,9 +358,10 @@ TEST_F(SortTest, EmptyInputProducesNothing) {
   EXPECT_EQ(count, 0);
 }
 
-// Hand-built runs fed straight into internal_sort::MergeRuns: one group's
-// fragments sit in three different runs (two of which merge in different
-// *passes* at fan-in 2), plus an empty run in the middle. With the
+// Hand-built runs, written as extents of one spill file, fed straight into
+// internal_sort::MergeRuns: one group's fragments sit in three different
+// runs (two of which merge in different *passes* at fan-in 2), plus an
+// empty run in the middle. With the
 // order-sensitive ListCombiner the final accumulator proves both that
 // combining works across run AND pass boundaries and that the loser tree
 // breaks key ties by cursor index (run order), i.e. gather order is the
@@ -369,28 +371,27 @@ TEST_F(SortTest, MergeRunsCombinesAcrossRunAndPassBoundaries) {
   SortConfig config = MakeConfig(1 << 20);
   config.merge_fanin = 2;
   const std::string k5 = OrderedKeyI64(5), k7 = OrderedKeyI64(7);
-  auto write_run = [&](int id,
-                       std::vector<std::pair<const std::string*, std::string>>
-                           tuples) {
-    const std::string path = dir_.path() + "/hand-run-" + std::to_string(id);
-    internal_sort::RunWriter writer(config, path);
-    for (const auto& [key, payload] : tuples) {
-      const std::string item = ListItem(payload);
-      const Slice t[2] = {Slice(*key), Slice(item)};
-      EXPECT_TRUE(writer.Append(t).ok());
-    }
-    EXPECT_TRUE(writer.Finish().ok());
-    return path;
-  };
-  std::vector<std::string> runs;
-  runs.push_back(write_run(0, {{&k5, "a"}}));
-  runs.push_back(write_run(1, {{&k5, "b"}}));
-  runs.push_back(write_run(2, {}));  // empty run: exhausted leaf at Init
-  runs.push_back(write_run(3, {{&k5, "c"}, {&k7, "x"}}));
-  runs.push_back(write_run(4, {{&k7, "y"}}));
+  internal_sort::SpillFile file(config);
+  auto write_run =
+      [&](std::vector<std::pair<const std::string*, std::string>> tuples) {
+        for (const auto& [key, payload] : tuples) {
+          const std::string item = ListItem(payload);
+          const Slice t[2] = {Slice(*key), Slice(item)};
+          EXPECT_TRUE(file.Append(t).ok());
+        }
+        RunExtent extent;
+        EXPECT_TRUE(file.EndRun(&extent).ok());
+        return extent;
+      };
+  std::vector<RunExtent> runs;
+  runs.push_back(write_run({{&k5, "a"}}));
+  runs.push_back(write_run({{&k5, "b"}}));
+  runs.push_back(write_run({}));  // empty run: exhausted leaf at Init
+  runs.push_back(write_run({{&k5, "c"}, {&k7, "x"}}));
+  runs.push_back(write_run({{&k7, "y"}}));
   std::vector<std::pair<int64_t, std::vector<std::string>>> got;
   ASSERT_TRUE(internal_sort::MergeRuns(
-                  config, ListCombiner(), std::move(runs),
+                  config, ListCombiner(), &file, std::move(runs),
                   [&](std::span<const Slice> fields) {
                     std::vector<std::string> items;
                     Slice acc = fields[1], item;
@@ -406,6 +407,133 @@ TEST_F(SortTest, MergeRunsCombinesAcrossRunAndPassBoundaries) {
   EXPECT_EQ(got[0].second, (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(got[1].first, 7);
   EXPECT_EQ(got[1].second, (std::vector<std::string>{"x", "y"}));
+}
+
+/// Regular files directly under `dir`.
+int RegularFiles(const std::string& dir) {
+  int n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_regular_file()) ++n;
+  }
+  return n;
+}
+
+/// Adds the next (key, min-distance) tuple of a seeded stream whose keys are
+/// drawn from [0, 100000), so almost every tuple opens a new group.
+template <typename Grouper>
+Status AddRandomTuple(Grouper* grouper, Random* rnd) {
+  const std::string k =
+      OrderedKeyI64(static_cast<int64_t>(rnd->Uniform(100000)));
+  std::string payload;
+  PutDouble(&payload, rnd->NextDouble() * 100);
+  const Slice t[2] = {Slice(k), Slice(payload)};
+  return grouper->Add(t);
+}
+
+// One scratch file per grouper: at fan-in 2 a grouper that spills at least
+// 10 runs merges in at least two intermediate passes, whose outputs are
+// appended to the same file. Its scratch directory holds exactly one
+// regular file through Add and Finish and none after destruction, and the
+// output equals an in-memory grouper's.
+template <typename Grouper>
+void CheckOneSpillFilePerGrouper(SortConfig config, uint64_t seed) {
+  TempDir scratch("spill-file");
+  config.scratch_prefix = scratch.path() + "/g";
+  config.merge_fanin = 2;
+  SortConfig in_memory = config;
+  in_memory.memory_budget_bytes = 1 << 20;
+  using Output = std::vector<std::pair<std::string, std::string>>;
+  Output got, expected;
+  {
+    Grouper grouper(config, MinDoubleCombiner());
+    Grouper reference(in_memory, MinDoubleCombiner());
+    Random rnd(seed), rnd_ref(seed);
+    for (int i = 0; i < 3000; ++i) {
+      ASSERT_TRUE(AddRandomTuple(&grouper, &rnd).ok());
+      ASSERT_TRUE(AddRandomTuple(&reference, &rnd_ref).ok());
+      ASSERT_EQ(RegularFiles(scratch.path()),
+                grouper.runs_spilled() > 0 ? 1 : 0);
+    }
+    ASSERT_GE(grouper.runs_spilled(), 10);
+    ASSERT_TRUE(grouper
+                    .Finish([&](std::span<const Slice> fields) {
+                      EXPECT_EQ(RegularFiles(scratch.path()), 1);
+                      got.emplace_back(fields[0].ToString(),
+                                       fields[1].ToString());
+                      return Status::OK();
+                    })
+                    .ok());
+    EXPECT_EQ(RegularFiles(scratch.path()), 1);
+    ASSERT_TRUE(reference
+                    .Finish([&](std::span<const Slice> fields) {
+                      expected.emplace_back(fields[0].ToString(),
+                                            fields[1].ToString());
+                      return Status::OK();
+                    })
+                    .ok());
+    EXPECT_EQ(reference.runs_spilled(), 0);
+  }
+  EXPECT_EQ(RegularFiles(scratch.path()), 0);
+  EXPECT_EQ(got, expected);
+}
+
+TEST_F(SortTest, SortGrouperKeepsOneSpillFile) {
+  CheckOneSpillFilePerGrouper<ExternalSortGrouper>(MakeConfig(4096), 41);
+}
+
+TEST_F(SortTest, HashGrouperKeepsOneSpillFile) {
+  CheckOneSpillFilePerGrouper<HashSortGrouper>(MakeConfig(4096), 42);
+}
+
+// A torn write of the third spilled run is sticky: the failing Add returns
+// the injected error, every later failure is that same error, Finish
+// returns it and emits nothing, and the scratch file goes with the grouper.
+// Without the sticky error, later runs would be written at offsets the
+// torn run no longer matches.
+template <typename Grouper>
+void CheckTornSpillIsSticky(SortConfig config, uint64_t seed) {
+  TempDir scratch("torn-spill");
+  config.scratch_prefix = scratch.path() + "/g";
+  fault::FaultSpec spec;
+  spec.trigger = fault::Trigger::kNthHit;
+  spec.n = 3;
+  spec.action = fault::Action::kTornWrite;
+  spec.message = "injected torn spill";
+  fault::FaultInjector::Global().Arm("io.file.write", spec);
+  Status first_error;
+  Status finished;
+  int emitted = 0;
+  {
+    Grouper grouper(config, MinDoubleCombiner());
+    Random rnd(seed);
+    for (int i = 0; i < 1000; ++i) {
+      const Status s = AddRandomTuple(&grouper, &rnd);
+      if (s.ok()) continue;
+      if (first_error.ok()) first_error = s;
+      EXPECT_EQ(s.ToString(), first_error.ToString());
+    }
+    finished = grouper.Finish([&](std::span<const Slice>) {
+      ++emitted;
+      return Status::OK();
+    });
+    EXPECT_EQ(RegularFiles(scratch.path()), 1);
+  }
+  fault::FaultInjector::Global().Reset();
+  ASSERT_FALSE(first_error.ok());
+  EXPECT_NE(first_error.message().find("injected torn spill"),
+            std::string::npos)
+      << first_error.ToString();
+  EXPECT_EQ(finished.ToString(), first_error.ToString());
+  EXPECT_EQ(emitted, 0);
+  EXPECT_EQ(RegularFiles(scratch.path()), 0);
+}
+
+TEST_F(SortTest, SortGrouperTornSpillIsSticky) {
+  CheckTornSpillIsSticky<ExternalSortGrouper>(MakeConfig(4096), 43);
+}
+
+TEST_F(SortTest, HashGrouperTornSpillIsSticky) {
+  CheckTornSpillIsSticky<HashSortGrouper>(MakeConfig(4096), 44);
 }
 
 // Duplicate-heavy input through a tiny budget and fan-in 2: every group's

@@ -30,6 +30,7 @@
 #include "dataflow/cluster.h"
 #include "dfs/dfs.h"
 #include "graph/generator.h"
+#include "io/file.h"
 #include "pregel/runtime.h"
 #include "server/http.h"
 #include "server/job_registry.h"
@@ -177,6 +178,33 @@ TEST(TimeLedgerTest, GuardsAreInertOnUnattachedThreads) {
   EXPECT_EQ(snap.misuse_count, 0);
   EXPECT_EQ(snap.attributed_ns(), 0);
   EXPECT_TRUE(snap.locks.empty());
+}
+
+// File create, open, close and unlink are I/O even when no byte moves:
+// create, open-for-write, close and unlink go to io_write, and opening a
+// file for reads goes to io_read, not to the enclosing category.
+TEST(TimeLedgerTest, FileSyscallsAreChargedToIo) {
+  TempDir dir("ledger-files");
+  TimeLedger& ledger = TimeLedger::Global();
+  ledger.Reset();
+  ASSERT_TRUE(
+      TimeLedger::AttachCurrentThread(0, TimeCategory::kCompute, "files"));
+  bool ok = true;
+  for (int i = 0; i < 50 && ok; ++i) {
+    const std::string path = dir.path() + "/f" + std::to_string(i);
+    std::unique_ptr<WritableFile> w;
+    std::unique_ptr<RandomAccessFile> r;
+    ok = WritableFile::Open(path, nullptr, &w).ok() && w->Close().ok() &&
+         RandomAccessFile::Open(path, nullptr, &r).ok();
+    r.reset();
+    DeleteFileIfExists(path);
+  }
+  TimeLedger::DetachCurrentThread();
+  ASSERT_TRUE(ok);
+  const TimeLedgerSnapshot snap = ledger.TakeSnapshot();
+  EXPECT_EQ(snap.attributed_ns(), snap.elapsed_ns);
+  EXPECT_GT(snap.ns(TimeCategory::kIoWrite), 0);
+  EXPECT_GT(snap.ns(TimeCategory::kIoRead), 0);
 }
 
 TEST(TimeLedgerTest, ContendedMutexChargesLockWaitTable) {
