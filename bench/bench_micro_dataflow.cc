@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the dataflow substrate: frame
 // encode/decode, the group-by family, external sorting, the k-way merge
-// (loser tree, varying fan-in), and the normalized-key comparison kernel.
+// (loser tree, varying fan-in), the normalized-key comparison kernel, and
+// the send-side batch sort (comparator vs. in-place radix).
 // Supporting numbers for the operator choices of paper Sections 4 and
 // 5.3.1, and the before/after record in BENCH_kernels.json (DESIGN.md §13).
 //
@@ -12,6 +13,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -20,6 +23,7 @@
 #include "common/temp_dir.h"
 #include "dataflow/frame.h"
 #include "dataflow/ops/sort.h"
+#include "dataflow/ops/sort_by_norm.h"
 
 namespace pregelix {
 namespace {
@@ -244,6 +248,54 @@ void BM_KeySortNormalizedPrefix(benchmark::State& state) {
   KeySortBench(state, /*normalized=*/true);
 }
 BENCHMARK(BM_KeySortNormalizedPrefix)->Unit(benchmark::kMillisecond);
+
+// The send-side batch sort in isolation: a 64k strip of 16-byte batch
+// entries (cached norm, pool offset, size) whose keys are 8-byte ordered
+// vertex ids over a 100k-vertex range, as the compute clone's message
+// batches hold them. Comparator = std::sort on the cached norm (the kernel
+// SortByNorm replaced); Radix = SortByNorm, in place. Each iteration sorts a
+// fresh copy of the unsorted strip.
+struct BatchEntry {
+  uint64_t norm;
+  uint32_t offset;
+  uint32_t size;
+};
+
+void BatchSortBench(benchmark::State& state, bool radix) {
+  const int n = 64 * 1024;
+  Random rnd(13);
+  std::vector<BatchEntry> input(n);
+  for (int i = 0; i < n; ++i) {
+    const std::string key =
+        OrderedKeyI64(static_cast<int64_t>(rnd.Uniform(100000)));
+    input[i] = {NormalizedKeyPrefix(Slice(key)), 24u * i, 24u};
+  }
+  std::vector<BatchEntry> work(n);
+  for (auto _ : state) {
+    std::copy(input.begin(), input.end(), work.begin());
+    if (radix) {
+      SortByNorm(std::span<BatchEntry>(work),
+                 [](const BatchEntry& e) { return e.norm; });
+    } else {
+      std::sort(work.begin(), work.end(),
+                [](const BatchEntry& a, const BatchEntry& b) {
+                  return a.norm < b.norm;
+                });
+    }
+    benchmark::DoNotOptimize(work.data());
+    state.SetItemsProcessed(state.items_processed() + n);
+  }
+}
+
+void BM_BatchSortComparator(benchmark::State& state) {
+  BatchSortBench(state, /*radix=*/false);
+}
+BENCHMARK(BM_BatchSortComparator)->Unit(benchmark::kMillisecond);
+
+void BM_BatchSortRadix(benchmark::State& state) {
+  BatchSortBench(state, /*radix=*/true);
+}
+BENCHMARK(BM_BatchSortRadix)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace pregelix

@@ -83,6 +83,7 @@ class [[nodiscard]] Status {
   bool IsOutOfMemory() const { return code_ == StatusCode::kOutOfMemory; }
   bool IsAborted() const { return code_ == StatusCode::kAborted; }
   bool IsIoError() const { return code_ == StatusCode::kIoError; }
+  bool IsNotSupported() const { return code_ == StatusCode::kNotSupported; }
 
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }

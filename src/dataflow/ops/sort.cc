@@ -9,6 +9,7 @@
 #include "common/serde.h"
 #include "common/time_ledger.h"
 #include "dataflow/operator.h"
+#include "dataflow/ops/sort_by_norm.h"
 #include "dataflow/plan_profile.h"
 #include "io/file.h"
 
@@ -16,19 +17,14 @@ namespace pregelix {
 
 namespace {
 
-/// Sequential cursor over one run (an extent of the spill file).
+/// Sequential cursor over one run (an extent of the spill file), reading
+/// through the merge pass's shared descriptor.
 class RunCursor {
  public:
-  RunCursor(const std::string& path, RunExtent extent, int field_count,
-            WorkerMetrics* metrics)
-      : path_(path), extent_(extent), accessor_(field_count),
-        metrics_(metrics) {}
+  RunCursor(const RandomAccessFile* file, RunExtent extent, int field_count)
+      : reader_(file, extent), accessor_(field_count) {}
 
-  Status Init() {
-    PREGELIX_RETURN_NOT_OK(
-        RunFileReader::Open(path_, metrics_, &reader_, extent_));
-    return Advance();
-  }
+  Status Init() { return Advance(); }
 
   bool Valid() const { return valid_; }
 
@@ -46,7 +42,7 @@ class RunCursor {
  private:
   Status Advance() {
     for (;;) {
-      Status s = reader_->NextBlock(&frame_);
+      Status s = reader_.NextBlock(&frame_);
       if (s.IsNotFound()) {
         valid_ = false;
         return Status::OK();
@@ -61,14 +57,11 @@ class RunCursor {
     }
   }
 
-  const std::string& path_;
-  const RunExtent extent_;
-  std::unique_ptr<RunFileReader> reader_;
+  RunFileReader reader_;
   std::string frame_;
   FrameTupleAccessor accessor_;
   int index_ = 0;
   bool valid_ = false;
-  WorkerMetrics* metrics_;
 };
 
 /// Tournament loser tree over the run cursors, keyed on the 8-byte
@@ -279,18 +272,28 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
                  config.worker);
   span.AddArg("runs", static_cast<int64_t>(runs.size()));
   span.AddArg("fanin", config.merge_fanin);
+  if (runs.empty()) return Status::OK();
+  // Each pass opens the spill file once, read-only, after the previous
+  // pass's outputs were flushed; every cursor of the pass reads its extent
+  // through that one descriptor.
+  std::unique_ptr<RandomAccessFile> reader;
   auto open_cursors = [&](size_t start, size_t end,
                           std::vector<std::unique_ptr<RunCursor>>* cursors) {
     for (size_t i = start; i < end; ++i) {
-      cursors->push_back(std::make_unique<RunCursor>(
-          file->path(), runs[i], config.field_count, config.metrics));
+      cursors->push_back(std::make_unique<RunCursor>(reader.get(), runs[i],
+                                                     config.field_count));
       PREGELIX_RETURN_NOT_OK(cursors->back()->Init());
     }
     return Status::OK();
   };
+  auto open_pass = [&] {
+    return RandomAccessFile::Open(file->path(), config.metrics, &reader,
+                                  RandomAccessFile::Mode::kReadOnly);
+  };
   // Intermediate passes until the fan-in fits; their outputs are appended
   // to the same spill file.
   while (static_cast<int>(runs.size()) > config.merge_fanin) {
+    PREGELIX_RETURN_NOT_OK(open_pass());
     std::vector<RunExtent> next_runs;
     for (size_t start = 0; start < runs.size(); start += config.merge_fanin) {
       const size_t end = std::min(runs.size(), start + config.merge_fanin);
@@ -305,6 +308,7 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
     runs = std::move(next_runs);
   }
   // Final pass.
+  PREGELIX_RETURN_NOT_OK(open_pass());
   std::vector<std::unique_ptr<RunCursor>> cursors;
   PREGELIX_RETURN_NOT_OK(open_cursors(0, runs.size(), &cursors));
   return MergeCursors(cursors, config.key_field, combiner,
@@ -413,19 +417,18 @@ Slice ExternalSortGrouper::EntryKey(const Entry& e) const {
 
 void ExternalSortGrouper::SortBatch() {
   ScopedTimeCategory sort(TimeCategory::kSort);
-  // The cached normalized prefixes settle the vast majority of comparisons
-  // with one integer compare; a tie implies the first 8 key bytes match and
-  // only then is the key re-decoded from the pool. Same ordering as a full
-  // key compare, so the resulting permutation is unchanged.
-  //
   // When every key in the batch has one width ≤ 8 bytes (the common case:
   // fixed-width vertex ids), the prefix is injective — a norm tie IS a key
-  // match — so the sort and the group-equality tests run over the entry
-  // strip with pure integer comparisons, no pool indirection in the inner
-  // loop.
+  // match — so the entry strip is radix-sorted in place on the norm alone
+  // (SortByNorm; no pool indirection, no scratch buffer) and the
+  // group-equality tests are pure integer comparisons.
+  //
+  // Mixed or long keys keep the comparator sort: the cached prefixes settle
+  // most comparisons with one integer compare, and only a tie re-decodes
+  // the keys from the pool.
   if (batch_key_size_ >= 0) {
-    std::sort(entries_.begin(), entries_.end(),
-              [](const Entry& a, const Entry& b) { return a.norm < b.norm; });
+    SortByNorm(std::span<Entry>(entries_),
+               [](const Entry& e) { return e.norm; });
   } else {
     std::sort(entries_.begin(), entries_.end(),
               [this](const Entry& a, const Entry& b) {
@@ -645,13 +648,14 @@ void HashSortGrouper::SortedOrder(std::vector<uint32_t>* order) const {
   if (uniform_key_size_ >= 0) {
     // One key width ≤ 8 bytes across the (deduped) table means the cached
     // norms are pairwise distinct, so the order is fully decided by them.
-    // Sort a contiguous (norm, index) strip with the trivial integer
-    // comparator — no Group/arena indirection in the inner loop.
+    // Radix-sort a contiguous (norm, index) strip — no Group/arena
+    // indirection in the inner loop.
     std::vector<std::pair<uint64_t, uint32_t>> strip(groups_.size());
     for (size_t g = 0; g < groups_.size(); ++g) {
       strip[g] = {groups_[g].norm, static_cast<uint32_t>(g)};
     }
-    std::sort(strip.begin(), strip.end());
+    SortByNorm(std::span<std::pair<uint64_t, uint32_t>>(strip),
+               [](const std::pair<uint64_t, uint32_t>& e) { return e.first; });
     for (size_t i = 0; i < strip.size(); ++i) (*order)[i] = strip[i].second;
     return;
   }

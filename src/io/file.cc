@@ -120,9 +120,11 @@ RandomAccessFile::RandomAccessFile(int fd, std::string path, uint64_t size,
     : fd_(fd), path_(std::move(path)), size_(size), metrics_(metrics) {}
 
 Status RandomAccessFile::Open(const std::string& path, WorkerMetrics* metrics,
-                              std::unique_ptr<RandomAccessFile>* out) {
+                              std::unique_ptr<RandomAccessFile>* out,
+                              Mode mode) {
   ScopedTimeCategory io_read(TimeCategory::kIoRead);
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+  const int flags = mode == Mode::kCreate ? O_RDWR | O_CREAT : O_RDONLY;
+  int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) {
     return Status::IoError(ErrnoMessage("open " + path));
   }
@@ -208,7 +210,8 @@ Status ReadFileToString(const std::string& path, std::string* out) {
   uint64_t size = 0;
   PREGELIX_RETURN_NOT_OK(GetFileSize(path, &size));
   std::unique_ptr<RandomAccessFile> file;
-  PREGELIX_RETURN_NOT_OK(RandomAccessFile::Open(path, nullptr, &file));
+  PREGELIX_RETURN_NOT_OK(RandomAccessFile::Open(
+      path, nullptr, &file, RandomAccessFile::Mode::kReadOnly));
   out->resize(size);
   if (size == 0) return Status::OK();
   return file->Read(0, size, out->data());
@@ -238,7 +241,8 @@ Status ChecksumFile(const std::string& path, uint64_t* checksum) {
   uint64_t size = 0;
   PREGELIX_RETURN_NOT_OK(GetFileSize(path, &size));
   std::unique_ptr<RandomAccessFile> file;
-  PREGELIX_RETURN_NOT_OK(RandomAccessFile::Open(path, nullptr, &file));
+  PREGELIX_RETURN_NOT_OK(RandomAccessFile::Open(
+      path, nullptr, &file, RandomAccessFile::Mode::kReadOnly));
   uint64_t h = 14695981039346656037ull;
   std::string chunk(64 * 1024, '\0');
   for (uint64_t offset = 0; offset < size;) {

@@ -47,8 +47,14 @@ class WritableFile {
 /// Positional-read file (pread).
 class RandomAccessFile {
  public:
+  /// kCreate opens read-write and creates a missing file (the buffer
+  /// cache's paged files); kReadOnly opens for reads only and fails on a
+  /// missing file, creating nothing.
+  enum class Mode { kCreate, kReadOnly };
+
   static Status Open(const std::string& path, WorkerMetrics* metrics,
-                     std::unique_ptr<RandomAccessFile>* out);
+                     std::unique_ptr<RandomAccessFile>* out,
+                     Mode mode = Mode::kCreate);
   ~RandomAccessFile();
 
   RandomAccessFile(const RandomAccessFile&) = delete;

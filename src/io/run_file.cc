@@ -44,11 +44,18 @@ Status RunFileReader::Open(const std::string& path, WorkerMetrics* metrics,
                            std::unique_ptr<RunFileReader>* out,
                            RunExtent extent) {
   std::unique_ptr<RandomAccessFile> file;
-  PREGELIX_RETURN_NOT_OK(RandomAccessFile::Open(path, metrics, &file));
-  extent.end = std::min(extent.end, file->size());
-  out->reset(new RunFileReader(std::move(file), extent));
+  PREGELIX_RETURN_NOT_OK(RandomAccessFile::Open(
+      path, metrics, &file, RandomAccessFile::Mode::kReadOnly));
+  auto reader = std::make_unique<RunFileReader>(file.get(), extent);
+  reader->owned_ = std::move(file);
+  *out = std::move(reader);
   return Status::OK();
 }
+
+RunFileReader::RunFileReader(const RandomAccessFile* file, RunExtent extent)
+    : file_(file),
+      extent_{extent.begin, std::min(extent.end, file->size())},
+      offset_(extent.begin) {}
 
 Status RunFileReader::NextBlock(std::string* out) {
   if (AtEnd()) return Status::NotFound("eof");

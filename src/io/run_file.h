@@ -56,10 +56,17 @@ class RunFileWriter {
 /// Sequential reader over a run file, or over one extent of it.
 class RunFileReader {
  public:
-  /// Reads `extent`, clipped to the file's size (by default, all of it).
+  /// Opens `path` read-only and reads `extent`, clipped to the file's size
+  /// (by default, all of it). A missing file is an error; nothing is
+  /// created.
   static Status Open(const std::string& path, WorkerMetrics* metrics,
                      std::unique_ptr<RunFileReader>* out,
                      RunExtent extent = {0, UINT64_MAX});
+
+  /// Reads `extent` of a file opened by the caller, clipped to its size.
+  /// `file` must outlive the reader; the readers of one merge pass share
+  /// one descriptor this way.
+  RunFileReader(const RandomAccessFile* file, RunExtent extent);
 
   /// Reads the next block into *out (resized). Returns NotFound at the end
   /// and Corruption when a header claims more bytes than the extent holds.
@@ -71,10 +78,8 @@ class RunFileReader {
   bool AtEnd() const { return offset_ >= extent_.end; }
 
  private:
-  RunFileReader(std::unique_ptr<RandomAccessFile> file, RunExtent extent)
-      : file_(std::move(file)), extent_(extent), offset_(extent.begin) {}
-
-  std::unique_ptr<RandomAccessFile> file_;
+  std::unique_ptr<RandomAccessFile> owned_;  ///< null for a shared file
+  const RandomAccessFile* file_;
   RunExtent extent_;
   uint64_t offset_;
 };

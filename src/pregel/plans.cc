@@ -358,6 +358,10 @@ class ComputeDriver {
     return Status::OK();
   }
 
+  /// The full-outer plan's Vertex scan: a vertex that exists is the
+  /// cursor's current entry, so its update can go through the cursor.
+  void SetVertexCursor(IndexIterator* cursor) { vertex_cursor_ = cursor; }
+
   /// Flushes messages, contribution, pending updates, and the Vid loader.
   Status Finish() {
     // Pending (deferred) Vertex updates: safe to apply now — the index scan
@@ -395,11 +399,20 @@ class ComputeDriver {
  private:
   /// D2 application policy: the full-outer plan is mid-scan on the Vertex
   /// index, so only same-size in-place B-tree overwrites are safe
-  /// immediately; anything structural is buffered and applied after the
-  /// scan. The left-outer plan holds no Vertex scan, so it applies
-  /// immediately.
+  /// immediately. The scan cursor does those itself, in the leaf it holds
+  /// pinned; an overflow value takes Upsert's same-size path instead.
+  /// Anything structural is buffered and applied after the scan. The
+  /// left-outer plan holds no Vertex scan, so it applies immediately.
   Status ApplyUpdate(const std::string& key, bool vertex_exists,
                      const Slice& old_bytes, const std::string& new_bytes) {
+    if (vertex_cursor_ != nullptr && vertex_exists) {
+      PREGELIX_DCHECK(vertex_cursor_->Valid() &&
+                      vertex_cursor_->key() == Slice(key));
+      bool done = false;
+      const Status s = vertex_cursor_->OverwriteValue(Slice(new_bytes), &done);
+      if (done) return Status::OK();
+      if (!s.IsNotSupported()) PREGELIX_RETURN_NOT_OK(s);
+    }
     const bool is_btree =
         ctx_->current_storage == VertexStorage::kBTree;
     const bool in_place_safe = is_btree && vertex_exists &&
@@ -424,6 +437,7 @@ class ComputeDriver {
   std::unique_ptr<IndexBulkLoader> next_vid_loader_;
   TupleRunWriter pending_;
   bool pending_any_ = false;
+  IndexIterator* vertex_cursor_ = nullptr;
   Contribution contribution_;
   ComputeInput input_;
   ComputeOutput output_;
@@ -440,6 +454,7 @@ Status RunComputeFullOuter(JobRuntimeContext* ctx, TaskContext& task) {
   PREGELIX_RETURN_NOT_OK(msg.Init());
   std::unique_ptr<IndexIterator> vertex = state.vertex_index->NewIterator();
   PREGELIX_RETURN_NOT_OK(vertex->SeekToFirst());
+  driver.SetVertexCursor(vertex.get());
 
   while (msg.Valid() || vertex->Valid()) {
     int cmp;

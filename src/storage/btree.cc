@@ -827,13 +827,18 @@ void BTree::DumpStructure() const {
 // ---------------------------------------------------------------------------
 // Iterator
 
+/// Forward scan cursor. It keeps its current leaf pinned until it moves to
+/// the next leaf (one pin per leaf, not per entry), so reading an entry and
+/// overwriting it in place touch no page table. The pin is released when
+/// the cursor runs off the end of the leaf chain or is destroyed; while it
+/// is held, that one page cannot be evicted.
 class BTreeIterator : public IndexIterator {
  public:
   BTreeIterator(BTree* tree, BufferCache* cache, int file_id)
       : tree_(tree), cache_(cache), file_id_(file_id) {}
 
   Status SeekToFirst() override {
-    current_page_ = tree_->first_leaf_;
+    PREGELIX_RETURN_NOT_OK(PinLeaf(tree_->first_leaf_));
     slot_ = 0;
     return SkipToValid();
   }
@@ -841,11 +846,8 @@ class BTreeIterator : public IndexIterator {
   Status Seek(const Slice& target) override {
     PageId leaf_id;
     PREGELIX_RETURN_NOT_OK(tree_->FindLeaf(target, nullptr, &leaf_id));
-    PageHandle page;
-    PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, leaf_id, &page));
-    current_page_ = leaf_id;
-    slot_ = LowerBound(page.data(), target);
-    page.Release();
+    PREGELIX_RETURN_NOT_OK(PinLeaf(leaf_id));
+    slot_ = LowerBound(leaf_.data(), target);
     return SkipToValid();
   }
 
@@ -859,16 +861,42 @@ class BTreeIterator : public IndexIterator {
   Slice key() const override { return key_; }
   Slice value() const override { return value_; }
 
+  Status OverwriteValue(const Slice& value, bool* done) override {
+    *done = false;
+    if (!valid_) {
+      return Status::FailedPrecondition("overwrite on an exhausted cursor");
+    }
+    char* cell = leaf_.data() + SlotAt(leaf_.data(), slot_);
+    uint16_t klen;
+    memcpy(&klen, cell, 2);
+    // Only an inline value of the same length fits the cell as it stands;
+    // anything else needs Upsert (overflow chains, cell resizing).
+    if (cell[2] != 0 || DecodeFixed32(cell + 3 + klen) != value.size()) {
+      return Status::OK();
+    }
+    memcpy(cell + 3 + klen + 4, value.data(), value.size());
+    leaf_.MarkDirty();
+    if (tree_->inserts_ != nullptr) tree_->inserts_->Increment();
+    *done = true;
+    return Status::OK();
+  }
+
  private:
-  /// Advances across empty leaves, loads the current entry into buffers.
+  /// Moves the pin to `leaf` (kInvalidPage: holds no pin).
+  Status PinLeaf(PageId leaf) {
+    leaf_.Release();
+    if (leaf == kInvalidPage) return Status::OK();
+    return cache_->Pin(file_id_, leaf, &leaf_);
+  }
+
+  /// Advances across exhausted leaves, loads the current entry into buffers.
   Status SkipToValid() {
     valid_ = false;
-    while (current_page_ != kInvalidPage) {
-      PageHandle page;
-      PREGELIX_RETURN_NOT_OK(cache_->Pin(file_id_, current_page_, &page));
-      const char* p = page.data();
+    while (leaf_.valid()) {
+      const char* p = leaf_.data();
       if (slot_ < NumEntries(p)) {
-        key_ = CellKey(p, slot_).ToString();
+        const Slice key = CellKey(p, slot_);
+        key_.assign(key.data(), key.size());
         const char* cell = p + SlotAt(p, slot_);
         uint16_t klen;
         memcpy(&klen, cell, 2);
@@ -880,8 +908,8 @@ class BTreeIterator : public IndexIterator {
         valid_ = true;
         return Status::OK();
       }
-      current_page_ = RightSibling(p);
       slot_ = 0;
+      PREGELIX_RETURN_NOT_OK(PinLeaf(RightSibling(p)));
     }
     return Status::OK();
   }
@@ -889,9 +917,11 @@ class BTreeIterator : public IndexIterator {
   BTree* tree_;
   BufferCache* cache_;
   int file_id_;
-  PageId current_page_ = kInvalidPage;
+  PageHandle leaf_;  ///< the current leaf; invalid once past the end
   int slot_ = 0;
   bool valid_ = false;
+  // Copies, not views of the cell: they stay valid (and keep the bytes read
+  // before an OverwriteValue) until the next positioning call.
   std::string key_;
   std::string value_;
 };

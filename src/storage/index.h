@@ -23,6 +23,19 @@ class IndexIterator {
   /// Valid only while Valid(); invalidated by Next().
   virtual Slice key() const = 0;
   virtual Slice value() const = 0;
+
+  /// Overwrites the current entry's value in place, without a second index
+  /// descent. Sets *done when it did; otherwise (a value of another size,
+  /// an out-of-line value) returns OK with *done false and changes nothing,
+  /// and the caller falls back to OrderedIndex::Upsert. key() and value()
+  /// keep the bytes read before the overwrite until the cursor moves. The
+  /// default reports NotSupported: an index without in-place cells (the
+  /// LSM B-tree) never overwrites through its cursor.
+  virtual Status OverwriteValue(const Slice& value, bool* done) {
+    (void)value;
+    *done = false;
+    return Status::NotSupported("in-place overwrite through a cursor");
+  }
 };
 
 /// Ordered key-value index interface implemented by BTree and LsmBTree.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "buffer/buffer_cache.h"
+#include "common/metrics_registry.h"
 #include "common/random.h"
 #include "common/serde.h"
 #include "common/temp_dir.h"
@@ -292,6 +293,183 @@ TEST_F(BTreeTest, WorksWithTinyBufferCache) {
     EXPECT_EQ(value, std::string(100, 'a' + vid % 26));
   }
   EXPECT_GT(metrics.Snapshot().disk_read_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Writing through the scan cursor
+
+/// Pins `n` distinct pages of a scratch file at once: succeeds only if no
+/// other page of `cache` (capacity n) is still pinned.
+::testing::AssertionResult CanPinWholeCache(BufferCache* cache,
+                                            const std::string& path,
+                                            size_t n) {
+  int file_id = -1;
+  Status s = cache->OpenFile(path, &file_id);
+  if (!s.ok()) return ::testing::AssertionFailure() << s.ToString();
+  std::vector<PageHandle> pins(n);
+  for (size_t i = 0; i < n && s.ok(); ++i) {
+    s = cache->AllocatePage(file_id, &pins[i]);
+  }
+  pins.clear();
+  Status closed = cache->DeleteFile(file_id);
+  if (!s.ok()) return ::testing::AssertionFailure() << s.ToString();
+  if (!closed.ok()) return ::testing::AssertionFailure() << closed.ToString();
+  return ::testing::AssertionSuccess();
+}
+
+std::string EightByteValue(int64_t vid, int round) {
+  return OrderedKeyI64(vid * 31 + round);
+}
+
+TEST_F(BTreeTest, CursorOverwriteIsSeenByGetAndFreshScan) {
+  MetricsRegistry registry;
+  cache_.SetObservability(nullptr, &registry, 0);
+  auto tree = OpenTree("t");
+  const int n = 3000;  // several leaves
+  for (int64_t vid = 0; vid < n; ++vid) {
+    ASSERT_TRUE(tree->Upsert(OrderedKeyI64(vid), EightByteValue(vid, 0)).ok());
+  }
+  Counter* inserts = registry.GetCounter(
+      "pregelix.storage.inserts",
+      MetricLabels{{"worker", "0"}, {"storage_tier", "btree"}});
+  const uint64_t inserts_before = inserts->value();
+  const uint64_t hits_before = cache_.hit_count() + cache_.miss_count();
+
+  auto it = tree->NewIterator();
+  ASSERT_TRUE(it->SeekToFirst().ok());
+  int64_t vid = 0;
+  for (; it->Valid(); ++vid) {
+    const std::string old_value = it->value().ToString();
+    bool done = false;
+    ASSERT_TRUE(it->OverwriteValue(EightByteValue(vid, 1), &done).ok());
+    ASSERT_TRUE(done);
+    // The cursor's buffers keep the bytes read before the overwrite.
+    EXPECT_EQ(it->value().ToString(), old_value);
+    EXPECT_EQ(DecodeOrderedI64(it->key().data()), vid);
+    ASSERT_TRUE(it->Next().ok());
+  }
+  EXPECT_EQ(vid, n);
+  EXPECT_EQ(inserts->value() - inserts_before, static_cast<uint64_t>(n));
+  // One pin per leaf, not one per entry (nor a descent per overwrite).
+  EXPECT_LT(cache_.hit_count() + cache_.miss_count() - hits_before,
+            static_cast<uint64_t>(n) / 10);
+  EXPECT_EQ(tree->num_entries(), static_cast<uint64_t>(n));
+
+  std::string value;
+  for (int64_t v = 0; v < n; ++v) {
+    ASSERT_TRUE(tree->Get(OrderedKeyI64(v), &value).ok());
+    ASSERT_EQ(value, EightByteValue(v, 1)) << v;
+  }
+  auto fresh = tree->NewIterator();
+  ASSERT_TRUE(fresh->SeekToFirst().ok());
+  for (int64_t v = 0; v < n; ++v) {
+    ASSERT_TRUE(fresh->Valid());
+    ASSERT_EQ(fresh->value().ToString(), EightByteValue(v, 1));
+    ASSERT_TRUE(fresh->Next().ok());
+  }
+  EXPECT_FALSE(fresh->Valid());
+  EXPECT_TRUE(tree->CheckConsistency().ok());
+}
+
+TEST_F(BTreeTest, CursorOverwriteRefusesSizeChangeAndOverflow) {
+  auto tree = OpenTree("t");
+  const std::string big(3000, 'o');  // > page/4: an overflow chain
+  ASSERT_TRUE(tree->Upsert("a", "1234").ok());
+  ASSERT_TRUE(tree->Upsert("b", big).ok());
+  ASSERT_TRUE(tree->Upsert("c", "xy").ok());
+  // A flush of a clean tree still rewrites its meta page; measure that.
+  ASSERT_TRUE(tree->Flush().ok());
+  const uint64_t clean0 = cache_.writeback_count();
+  ASSERT_TRUE(tree->Flush().ok());
+  const uint64_t writebacks = cache_.writeback_count();
+  const uint64_t clean_flush = writebacks - clean0;
+
+  auto it = tree->NewIterator();
+  ASSERT_TRUE(it->SeekToFirst().ok());
+  bool done = true;
+  ASSERT_TRUE(it->OverwriteValue("12345", &done).ok());  // longer
+  EXPECT_FALSE(done);
+  done = true;
+  ASSERT_TRUE(it->OverwriteValue("123", &done).ok());  // shorter
+  EXPECT_FALSE(done);
+  ASSERT_TRUE(it->Next().ok());
+  ASSERT_EQ(it->key().ToString(), "b");
+  done = true;
+  ASSERT_TRUE(it->OverwriteValue(std::string(big.size(), 'p'), &done).ok());
+  EXPECT_FALSE(done);  // same length, but stored out of line
+  ASSERT_TRUE(it->Next().ok());
+  ASSERT_TRUE(it->Next().ok());
+  EXPECT_FALSE(it->Valid());
+  done = true;
+  EXPECT_FALSE(it->OverwriteValue("zz", &done).ok());  // past the end
+  EXPECT_FALSE(done);
+  it.reset();
+
+  // No leaf was marked dirty: the flush writes back what a clean one does.
+  ASSERT_TRUE(tree->Flush().ok());
+  EXPECT_EQ(cache_.writeback_count() - writebacks, clean_flush);
+  std::string value;
+  ASSERT_TRUE(tree->Get("a", &value).ok());
+  EXPECT_EQ(value, "1234");
+  ASSERT_TRUE(tree->Get("b", &value).ok());
+  EXPECT_EQ(value, big);
+  ASSERT_TRUE(tree->Get("c", &value).ok());
+  EXPECT_EQ(value, "xy");
+}
+
+TEST_F(BTreeTest, CursorPinLeavesEvictionWorkingAndIsReleased) {
+  // Six 4 KB pages for a tree of hundreds of leaves: while the cursor holds
+  // one leaf, point lookups across the tree must still evict the rest.
+  WorkerMetrics metrics;
+  constexpr size_t kPages = 6;
+  BufferCache small_cache(4096, kPages, &metrics);
+  std::unique_ptr<BTree> tree;
+  ASSERT_TRUE(BTree::Open(&small_cache, dir_.path() + "/small", &tree).ok());
+  const int n = 20000;
+  for (int64_t vid = 0; vid < n; ++vid) {
+    ASSERT_TRUE(tree->Upsert(OrderedKeyI64(vid), EightByteValue(vid, 0)).ok());
+  }
+  Random rnd(17);
+  std::string value;
+  {
+    auto it = tree->NewIterator();
+    ASSERT_TRUE(it->SeekToFirst().ok());
+    int64_t vid = 0;
+    for (; it->Valid(); ++vid) {
+      ASSERT_EQ(DecodeOrderedI64(it->key().data()), vid);
+      bool done = false;
+      ASSERT_TRUE(it->OverwriteValue(EightByteValue(vid, 1), &done).ok());
+      ASSERT_TRUE(done);
+      if (vid % 97 == 0) {
+        const int64_t probe = static_cast<int64_t>(rnd.Uniform(n));
+        ASSERT_TRUE(tree->Get(OrderedKeyI64(probe), &value).ok());
+        EXPECT_EQ(value, EightByteValue(probe, probe <= vid ? 1 : 0));
+      }
+      ASSERT_TRUE(it->Next().ok());
+    }
+    EXPECT_EQ(vid, n);
+    // Exhausted: the cursor no longer holds its last leaf.
+    EXPECT_TRUE(CanPinWholeCache(&small_cache, dir_.path() + "/probe1",
+                                 kPages));
+  }
+  EXPECT_GT(small_cache.eviction_count(), 0u);
+  {
+    // Destroyed mid-leaf: the pin goes with it.
+    auto it = tree->NewIterator();
+    ASSERT_TRUE(it->Seek(OrderedKeyI64(n / 2)).ok());
+    ASSERT_TRUE(it->Valid());
+    bool done = false;
+    ASSERT_TRUE(it->OverwriteValue(EightByteValue(n / 2, 2), &done).ok());
+    ASSERT_TRUE(done);
+  }
+  EXPECT_TRUE(CanPinWholeCache(&small_cache, dir_.path() + "/probe2", kPages));
+  // The overwrites survived eviction (write-back of the released leaves).
+  for (int64_t vid = 0; vid < n; vid += 101) {
+    ASSERT_TRUE(tree->Get(OrderedKeyI64(vid), &value).ok());
+    EXPECT_EQ(value, EightByteValue(vid, 1)) << vid;
+  }
+  ASSERT_TRUE(tree->Get(OrderedKeyI64(n / 2), &value).ok());
+  EXPECT_EQ(value, EightByteValue(n / 2, 2));
 }
 
 struct BTreeSweepParam {

@@ -9,6 +9,7 @@
 #include "common/temp_dir.h"
 #include "dataflow/channel.h"
 #include "dataflow/tuple_run.h"
+#include "io/file.h"
 
 namespace pregelix {
 namespace {
@@ -155,6 +156,17 @@ TEST(TupleRunTest, MissingFileIsEmpty) {
   TupleRunReader reader("/nonexistent/path/run", 2, nullptr);
   ASSERT_TRUE(reader.Init().ok());
   EXPECT_FALSE(reader.Valid());
+}
+
+// Readers open read-only: a missing run in an existing directory reads as
+// empty and leaves no file behind.
+TEST(TupleRunTest, MissingFileCreatesNothing) {
+  TempDir dir("tuple-run-missing");
+  const std::string path = dir.path() + "/absent";
+  TupleRunReader reader(path, 2, nullptr);
+  ASSERT_TRUE(reader.Init().ok());
+  EXPECT_FALSE(reader.Valid());
+  EXPECT_FALSE(FileExists(path));
 }
 
 TEST(TupleRunTest, EmptyRunIsValidRelation) {

@@ -246,6 +246,30 @@ TEST_F(LsmBTreeTest, ReopenRecoversDiskComponents) {
   EXPECT_EQ(value, "gen3");
 }
 
+// The LSM B-tree has no in-place cells: its cursor refuses OverwriteValue
+// with NotSupported and changes nothing, so callers fall back to Upsert.
+TEST_F(LsmBTreeTest, CursorOverwriteIsNotSupported) {
+  auto lsm = OpenLsm("t", /*budget=*/256);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(lsm->Upsert(OrderedKeyI64(i), "v0").ok());
+  }
+  auto it = lsm->NewIterator();
+  ASSERT_TRUE(it->SeekToFirst().ok());
+  ASSERT_TRUE(it->Valid());
+  bool done = true;
+  const Status s = it->OverwriteValue("v1", &done);
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  EXPECT_FALSE(done);
+  EXPECT_EQ(it->value().ToString(), "v0");
+  it.reset();
+  ASSERT_TRUE(lsm->Upsert(OrderedKeyI64(0), "v1").ok());  // the fallback
+  std::string value;
+  ASSERT_TRUE(lsm->Get(OrderedKeyI64(0), &value).ok());
+  EXPECT_EQ(value, "v1");
+  ASSERT_TRUE(lsm->Get(OrderedKeyI64(1), &value).ok());
+  EXPECT_EQ(value, "v0");
+}
+
 TEST_F(LsmBTreeTest, DestroyRemovesFiles) {
   auto lsm = OpenLsm("destroy-me");
   ASSERT_TRUE(lsm->Upsert("k", "v").ok());

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include "common/serde.h"
 #include "common/temp_dir.h"
 #include "dataflow/ops/sort.h"
+#include "dataflow/ops/sort_by_norm.h"
 
 // Binary-wide counting allocator: every global operator new bumps a counter,
 // so tests can assert that a code path performs zero heap allocations (the
@@ -22,16 +24,30 @@ namespace {
 std::atomic<uint64_t> g_heap_allocs{0};
 }  // namespace
 
+// The nothrow forms are replaced too (std::stable_sort's temporary buffer
+// uses them), so every block this binary frees with std::free came from
+// std::malloc — AddressSanitizer reports a mismatch otherwise.
 void* operator new(std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace pregelix {
 namespace {
@@ -771,6 +787,157 @@ TEST_F(SortTest, EagerSinkSpillsPoorlyCombiningBatches) {
       CheckEagerMatchesPlain(MakeConfig(2048), 32, 5000, /*key_range=*/100000);
   EXPECT_EQ(run.shipped_before_finish, 0u);
   EXPECT_GT(run.runs_spilled, 1);
+}
+
+// ---------------------------------------------------------------------------
+// SortByNorm: the in-place radix kernel both groupers sort with
+
+using NormItem = std::pair<uint64_t, uint32_t>;  // (norm, input position)
+
+/// Radix-sorts `norms` tagged with their input positions and checks the
+/// result against std::sort: the same key sequence, and a permutation of
+/// the input (every position exactly once, still carrying its own key).
+void CheckSortByNorm(const std::vector<uint64_t>& norms) {
+  std::vector<NormItem> items(norms.size());
+  for (size_t i = 0; i < norms.size(); ++i) {
+    items[i] = {norms[i], static_cast<uint32_t>(i)};
+  }
+  SortByNorm(std::span<NormItem>(items),
+             [](const NormItem& e) { return e.first; });
+  std::vector<uint64_t> expected = norms;
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(items.size(), expected.size());
+  std::vector<bool> seen(norms.size(), false);
+  for (size_t i = 0; i < items.size(); ++i) {
+    ASSERT_EQ(items[i].first, expected[i]) << "at " << i;
+    ASSERT_LT(items[i].second, norms.size());
+    ASSERT_FALSE(seen[items[i].second]) << "position repeated";
+    seen[items[i].second] = true;
+    ASSERT_EQ(norms[items[i].second], items[i].first) << "key lost its item";
+  }
+}
+
+TEST(SortByNormTest, MatchesStdSortAcrossKeyShapes) {
+  Random rnd(61);
+  for (size_t n : {0, 1, 2, 7, 32, 33, 257, 5000, 100000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<uint64_t> random(n), dups(n), low_byte(n), mid_byte(n),
+        equal(n, 0x0123456789abcdefull), ids(n), descending(n);
+    for (size_t i = 0; i < n; ++i) {
+      random[i] = rnd.Next();
+      dups[i] = rnd.Uniform(5) << 40;  // five values, heavy duplication
+      low_byte[i] = 0x1122334455667700ull | rnd.Uniform(256);
+      mid_byte[i] = 0x1100000000000044ull | (rnd.Uniform(256) << 24);
+      // Normalized 8-byte ordered vertex ids, as the send-side batches hold.
+      ids[i] = NormalizedKeyPrefix(
+          OrderedKeyI64(static_cast<int64_t>(rnd.Uniform(50000))));
+      descending[i] = n - i;
+    }
+    for (const auto* norms :
+         {&random, &dups, &low_byte, &mid_byte, &equal, &ids, &descending}) {
+      CheckSortByNorm(*norms);
+    }
+  }
+}
+
+// Keys of different widths can share a normalized prefix ("a" and "a\0"),
+// so a mixed-width batch must take the comparator sort: sorting on the norm
+// alone would leave such keys in arbitrary order.
+TEST_F(SortTest, MixedWidthBatchSortsByFullKey) {
+  std::vector<std::string> keys;
+  for (char c : {'a', 'b'}) {
+    for (size_t width = 1; width <= 12; ++width) {
+      std::string k(width, '\0');
+      k[0] = c;
+      keys.push_back(k);
+      k.back() = '\1';
+      keys.push_back(k);
+    }
+  }
+  std::vector<std::string> expected = keys;
+  std::sort(expected.begin(), expected.end());
+  std::vector<std::string> input = expected;
+  std::reverse(input.begin(), input.end());
+  ExternalSortGrouper sorter(MakeConfig(1 << 20));
+  for (const std::string& k : input) {
+    const Slice t[2] = {Slice(k), Slice("v")};
+    ASSERT_TRUE(sorter.Add(t).ok());
+  }
+  std::vector<std::string> got;
+  ASSERT_TRUE(sorter
+                  .Finish([&](std::span<const Slice> fields) {
+                    got.push_back(fields[0].ToString());
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(got, expected);
+}
+
+/// Sums 8-byte unsigned payloads (exact, so any grouping order agrees).
+GroupCombiner SumU64Combiner() {
+  GroupCombiner c;
+  c.init = [](const Slice& payload, std::string* acc) {
+    acc->assign(payload.data(), payload.size());
+  };
+  c.step = [](const Slice& payload, std::string* acc) {
+    uint64_t a, b;
+    memcpy(&a, acc->data(), 8);
+    memcpy(&b, payload.data(), 8);
+    a += b;
+    memcpy(acc->data(), &a, 8);
+  };
+  return c;
+}
+
+/// Feeds `n` tuples with keys of `key_width` bytes (≤ 8, so batches take the
+/// radix kernel) drawn from [0, key_range) to a spilling grouper and checks
+/// its combined output against an in-memory std::map reference.
+template <typename Grouper>
+void CheckGrouperAgainstMap(SortConfig config, size_t key_width,
+                            uint64_t key_range, int n, uint64_t seed) {
+  std::map<std::string, uint64_t> reference;
+  Grouper grouper(config, SumU64Combiner());
+  Random rnd(seed);
+  for (int i = 0; i < n; ++i) {
+    const std::string id =
+        OrderedKeyI64(static_cast<int64_t>(rnd.Uniform(key_range)));
+    const std::string key = id.substr(8 - key_width);
+    const uint64_t value = rnd.Uniform(1000);
+    std::string payload(8, '\0');
+    memcpy(payload.data(), &value, 8);
+    reference[key] += value;
+    const Slice t[2] = {Slice(key), Slice(payload)};
+    ASSERT_TRUE(grouper.Add(t).ok());
+  }
+  EXPECT_GT(grouper.runs_spilled(), 1);
+  auto next = reference.begin();
+  ASSERT_TRUE(grouper
+                  .Finish([&](std::span<const Slice> fields) {
+                    EXPECT_NE(next, reference.end());
+                    if (next == reference.end()) return Status::OK();
+                    uint64_t sum;
+                    memcpy(&sum, fields[1].data(), 8);
+                    EXPECT_EQ(fields[0].ToString(), next->first);
+                    EXPECT_EQ(sum, next->second);
+                    ++next;
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(next, reference.end());
+}
+
+TEST_F(SortTest, RadixSortedGroupersMatchInMemoryReference) {
+  for (size_t width : {8, 4, 2}) {
+    SCOPED_TRACE("key width " + std::to_string(width));
+    const uint64_t range = width == 2 ? 60000 : 200000;
+    CheckGrouperAgainstMap<ExternalSortGrouper>(MakeConfig(8192), width,
+                                                range, 20000, 71 + width);
+    CheckGrouperAgainstMap<HashSortGrouper>(MakeConfig(8192), width, range,
+                                            20000, 81 + width);
+    // Duplicate-heavy: 50 keys.
+    CheckGrouperAgainstMap<ExternalSortGrouper>(MakeConfig(2048), width, 50,
+                                                20000, 91 + width);
+  }
 }
 
 }  // namespace

@@ -212,24 +212,40 @@ TEST(TimeLedgerTest, ContendedMutexChargesLockWaitTable) {
   ledger.Reset();
 
   Mutex contended("ledger_test_lock", LockRank::kChannel);
-  std::atomic<bool> held{false};
-  std::thread holder([&]() {
-    MutexLock lock(&contended);
-    held.store(true);
-    SpinFor(5'000'000);
-  });
-  while (!held.load()) {
-  }
+  auto contended_waits = [&ledger]() -> int64_t {
+    for (const TimeLedgerSnapshot::LockWait& l : ledger.TakeSnapshot().locks) {
+      if (l.name == "ledger_test_lock") return l.count;
+    }
+    return 0;
+  };
 
   ASSERT_TRUE(
       TimeLedger::AttachCurrentThread(0, TimeCategory::kCompute, "waiter"));
-  {
-    // Blocks until the holder releases: a contended acquisition, so
-    // pregelix::Mutex charges the blocked interval to the ledger.
-    MutexLock lock(&contended);
+  // The holder keeps the lock for 5 ms after the waiter announces itself,
+  // so the waiter's try_lock fails unless it is descheduled that long
+  // between the announcement and the attempt; a round that found the lock
+  // free is repeated, a bounded number of times.
+  for (int round = 0; round < 20 && contended_waits() == 0; ++round) {
+    std::atomic<bool> held{false};
+    std::atomic<bool> waiting{false};
+    std::thread holder([&]() {
+      MutexLock lock(&contended);
+      held.store(true);
+      while (!waiting.load()) {
+      }
+      SpinFor(5'000'000);
+    });
+    while (!held.load()) {
+    }
+    waiting.store(true);
+    {
+      // Blocks until the holder releases: a contended acquisition, so
+      // pregelix::Mutex charges the blocked interval to the ledger.
+      MutexLock lock(&contended);
+    }
+    holder.join();
   }
   TimeLedger::DetachCurrentThread();
-  holder.join();
 
   const TimeLedgerSnapshot snap = ledger.TakeSnapshot();
   EXPECT_EQ(snap.unattributed_ns, 0);
