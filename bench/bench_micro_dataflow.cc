@@ -206,7 +206,7 @@ BENCHMARK(BM_MergeFanin)->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond
 
 // The comparison kernel in isolation: sorting an index array over 64k
 // 8-byte ordered keys with the plain Slice comparator vs. the cached
-// normalized-prefix comparator used by DrainBatchSorted. The spread between
+// normalized-prefix comparator used by SortBatch. The spread between
 // the two is the per-comparison saving every batch sort gets.
 void KeySortBench(benchmark::State& state, bool normalized) {
   const int n = 64 * 1024;

@@ -158,12 +158,10 @@ class LoserTree {
 };
 
 /// Merges the given cursors in key order, optionally combining equal keys,
-/// and feeds `emit`. `apply_finish` controls whether the combiner's final
-/// transform runs (only on the last pass).
+/// and feeds `emit`.
 Status MergeCursors(std::vector<std::unique_ptr<RunCursor>>& cursors,
                     int key_field, const GroupCombiner& combiner,
-                    bool apply_finish, WorkerMetrics* metrics,
-                    const TupleEmitFn& emit) {
+                    WorkerMetrics* metrics, const TupleEmitFn& emit) {
   // Time ledger: the k-way merge (and its combine fold) is the merge
   // phase; nested I/O scopes in the run-file/file layers suspend it.
   ScopedTimeCategory merge(TimeCategory::kMerge);
@@ -192,7 +190,6 @@ Status MergeCursors(std::vector<std::unique_ptr<RunCursor>>& cursors,
         PREGELIX_RETURN_NOT_OK(tree.AdvanceWinner());
         ++tuples;
       }
-      if (apply_finish && combiner.finish) combiner.finish(&acc);
       const Slice out[2] = {Slice(group_key), Slice(acc)};
       PREGELIX_RETURN_NOT_OK(emit(out));
     }
@@ -300,8 +297,7 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
       std::vector<std::unique_ptr<RunCursor>> cursors;
       PREGELIX_RETURN_NOT_OK(open_cursors(start, end, &cursors));
       PREGELIX_RETURN_NOT_OK(MergeCursors(
-          cursors, config.key_field, combiner, /*apply_finish=*/false,
-          config.metrics,
+          cursors, config.key_field, combiner, config.metrics,
           [&](std::span<const Slice> fields) { return file->Append(fields); }));
       PREGELIX_RETURN_NOT_OK(file->EndRun(&next_runs.emplace_back()));
     }
@@ -311,8 +307,8 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
   PREGELIX_RETURN_NOT_OK(open_pass());
   std::vector<std::unique_ptr<RunCursor>> cursors;
   PREGELIX_RETURN_NOT_OK(open_cursors(0, runs.size(), &cursors));
-  return MergeCursors(cursors, config.key_field, combiner,
-                      /*apply_finish=*/true, config.metrics, emit);
+  return MergeCursors(cursors, config.key_field, combiner, config.metrics,
+                      emit);
 }
 
 }  // namespace internal_sort
@@ -339,18 +335,43 @@ constexpr size_t kInitialPoolBytes = 1u << 20;
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// SpillingGrouper
+
+SpillingGrouper::SpillingGrouper(const SortConfig& config,
+                                 GroupCombiner combiner)
+    : config_(config), combiner_(std::move(combiner)), spill_(config) {}
+
+Status SpillingGrouper::Finish(const TupleEmitFn& emit) {
+  PREGELIX_CHECK(!finished_);
+  finished_ = true;
+  if (config_.stats != nullptr) {
+    config_.stats->UpdateMemHwm(MemoryBytes());
+  }
+  // Eager: the remainder is one more partial batch for the downstream
+  // group-by; runs hold the drains that combined poorly and are merged
+  // across drains below. Nothing spilled: a single in-memory drain.
+  if (eager_sink_ || runs_.empty()) {
+    PREGELIX_RETURN_NOT_OK(DrainSorted(emit));
+  } else {
+    PREGELIX_RETURN_NOT_OK(SpillRun());
+  }
+  if (runs_.empty()) return Status::OK();
+  return internal_sort::MergeRuns(config_, combiner_, &spill_, runs_, emit);
+}
+
+// ---------------------------------------------------------------------------
 // ExternalSortGrouper
 
 ExternalSortGrouper::ExternalSortGrouper(const SortConfig& config,
                                          GroupCombiner combiner)
-    : config_(config), combiner_(std::move(combiner)), spill_(config) {
+    : SpillingGrouper(config, std::move(combiner)) {
   if (combiner_.valid()) {
     PREGELIX_CHECK(config_.field_count == 2 && config_.key_field == 0)
         << "combining group-by operates on (key, payload) tuples";
   }
 }
 
-size_t ExternalSortGrouper::BatchBytes() const {
+size_t ExternalSortGrouper::MemoryBytes() const {
   return pool_.size() + entries_.capacity() * sizeof(Entry);
 }
 
@@ -361,21 +382,20 @@ Status ExternalSortGrouper::Add(std::span<const Slice> fields) {
   for (const Slice& f : fields) data += f.size();
   const size_t tuple_size = 4u * n + data;
   if (!entries_.empty() &&
-      BatchBytes() + tuple_size > config_.memory_budget_bytes) {
+      MemoryBytes() + tuple_size > config_.memory_budget_bytes) {
     if (eager_sink_ && last_flush_tuples_ > 0 &&
         EagerShipProfitable(last_flush_groups_, last_flush_tuples_)) {
       // Eager shuffle (§19): the previous flush combined heavily, so this
       // batch's groups are expected near-final — ship the sorted,
       // pre-combined batch downstream now instead of parking it in a run
-      // file. No final transform; the receiving group-by folds the partials
-      // and applies it once. Poorly-combining batches keep spilling so
-      // cross-batch duplicates are merged before they reach the wire. The
-      // previous flush's ratio stands in for this one's (message mixes
-      // shift slowly within a superstep) so the decision costs nothing;
-      // the first flush always spills.
-      PREGELIX_RETURN_NOT_OK(DrainBatchSorted(eager_sink_));
+      // file; the receiving group-by folds the partials. Poorly-combining
+      // batches keep spilling so cross-batch duplicates are merged before
+      // they reach the wire. The previous flush's ratio stands in for this
+      // one's (message mixes shift slowly within a superstep) so the
+      // decision costs nothing; the first flush always spills.
+      PREGELIX_RETURN_NOT_OK(DrainSorted(eager_sink_));
     } else {
-      PREGELIX_RETURN_NOT_OK(SpillBatch());
+      PREGELIX_RETURN_NOT_OK(SpillRun());
     }
   }
   if (pool_.empty()) {
@@ -441,7 +461,7 @@ void ExternalSortGrouper::SortBatch() {
   }
 }
 
-Status ExternalSortGrouper::DrainBatchSorted(const TupleEmitFn& fn) {
+Status ExternalSortGrouper::DrainSorted(const TupleEmitFn& fn) {
   SortBatch();
   // Combine/emit drain: group_by when combining, sort otherwise (the drain
   // is then just the tail of the sort kernel).
@@ -497,15 +517,16 @@ Status ExternalSortGrouper::DrainBatchSorted(const TupleEmitFn& fn) {
   return Status::OK();
 }
 
-Status ExternalSortGrouper::SpillBatch() {
+Status ExternalSortGrouper::SpillRun() {
+  if (entries_.empty()) return Status::OK();
   TraceSpan span(config_.tracer, "sort.run_generation", trace_cat::kDataflow,
                  config_.worker);
   span.AddArg("tuples", static_cast<int64_t>(entries_.size()));
   span.AddArg("run", static_cast<int64_t>(runs_.size()));
   if (config_.stats != nullptr) {
-    config_.stats->UpdateMemHwm(BatchBytes());
+    config_.stats->UpdateMemHwm(MemoryBytes());
   }
-  PREGELIX_RETURN_NOT_OK(DrainBatchSorted(
+  PREGELIX_RETURN_NOT_OK(DrainSorted(
       [&](std::span<const Slice> fields) { return spill_.Append(fields); }));
   RunExtent run;
   PREGELIX_RETURN_NOT_OK(spill_.EndRun(&run));
@@ -517,54 +538,18 @@ Status ExternalSortGrouper::SpillBatch() {
   return Status::OK();
 }
 
-Status ExternalSortGrouper::Finish(const TupleEmitFn& emit) {
-  PREGELIX_CHECK(!finished_);
-  finished_ = true;
-  if (config_.stats != nullptr) {
-    config_.stats->UpdateMemHwm(BatchBytes());
-  }
-  if (eager_sink_) {
-    // The remainder is one more partial batch for the downstream group-by,
-    // which re-combines and applies the final transform once; batches that
-    // combined poorly sit in run files and are merged across batches here.
-    // (Eager mode requires a transform-free combiner: the run merge below
-    // would otherwise finish accumulators the downstream still folds.)
-    PREGELIX_CHECK(!combiner_.valid() || !combiner_.finish);
-    PREGELIX_RETURN_NOT_OK(DrainBatchSorted(emit));
-    if (runs_.empty()) return Status::OK();
-    return internal_sort::MergeRuns(config_, combiner_, &spill_, runs_, emit);
-  }
-  if (runs_.empty()) {
-    // Fully in-memory: a single sorted drain, applying the final transform.
-    if (combiner_.valid() && combiner_.finish) {
-      std::string finished_acc;
-      return DrainBatchSorted([&](std::span<const Slice> fields) {
-        finished_acc.assign(fields[1].data(), fields[1].size());
-        combiner_.finish(&finished_acc);
-        const Slice out[2] = {fields[0], Slice(finished_acc)};
-        return emit(out);
-      });
-    }
-    return DrainBatchSorted(emit);
-  }
-  if (!entries_.empty()) {
-    PREGELIX_RETURN_NOT_OK(SpillBatch());
-  }
-  return internal_sort::MergeRuns(config_, combiner_, &spill_, runs_, emit);
-}
-
 // ---------------------------------------------------------------------------
 // HashSortGrouper
 
 HashSortGrouper::HashSortGrouper(const SortConfig& config,
                                  GroupCombiner combiner)
-    : config_(config), combiner_(std::move(combiner)), spill_(config) {
+    : SpillingGrouper(config, std::move(combiner)) {
   PREGELIX_CHECK(combiner_.valid())
       << "HashSort group-by requires combine hooks";
   PREGELIX_CHECK(config_.field_count == 2 && config_.key_field == 0);
 }
 
-size_t HashSortGrouper::TableBytes() const {
+size_t HashSortGrouper::MemoryBytes() const {
   return key_arena_.capacity() + groups_.capacity() * sizeof(Group) +
          slots_.capacity() * sizeof(uint32_t) +
          static_cast<size_t>(acc_bytes_ > 0 ? acc_bytes_ : 0);
@@ -624,7 +609,7 @@ Status HashSortGrouper::Add(std::span<const Slice> fields) {
   }
   if (groups_.size() * 4 >= slots_.size() * 3) GrowSlots();
   if (config_.metrics != nullptr) config_.metrics->AddCpuOps(1);
-  if (TableBytes() > config_.memory_budget_bytes) {
+  if (MemoryBytes() > config_.memory_budget_bytes) {
     if (eager_sink_ &&
         EagerShipProfitable(groups_.size(), tuples_since_drain_)) {
       // Eager shuffle (§19): the table combined heavily — its accumulators
@@ -634,9 +619,9 @@ Status HashSortGrouper::Add(std::span<const Slice> fields) {
       // recur across drains, and only the run merge collapses those before
       // they reach the wire. (Unlike the sort grouper, the counts here are
       // live table state, so the current drain decides for itself.)
-      PREGELIX_RETURN_NOT_OK(EmitTable(eager_sink_));
+      PREGELIX_RETURN_NOT_OK(DrainSorted(eager_sink_));
     } else {
-      PREGELIX_RETURN_NOT_OK(SpillTable());
+      PREGELIX_RETURN_NOT_OK(SpillRun());
     }
   }
   return Status::OK();
@@ -668,14 +653,14 @@ void HashSortGrouper::SortedOrder(std::vector<uint32_t>* order) const {
   });
 }
 
-Status HashSortGrouper::SpillTable() {
+Status HashSortGrouper::SpillRun() {
   if (groups_.empty()) return Status::OK();
   TraceSpan span(config_.tracer, "hashsort.run_generation",
                  trace_cat::kDataflow, config_.worker);
   span.AddArg("groups", static_cast<int64_t>(groups_.size()));
   span.AddArg("run", static_cast<int64_t>(runs_.size()));
   if (config_.stats != nullptr) {
-    config_.stats->UpdateMemHwm(TableBytes());
+    config_.stats->UpdateMemHwm(MemoryBytes());
   }
   std::vector<uint32_t> order;
   SortedOrder(&order);
@@ -698,10 +683,11 @@ Status HashSortGrouper::SpillTable() {
 }
 
 void HashSortGrouper::ReleaseTable() {
-  // Draining means the table outgrew the budget. TableBytes() charges
-  // capacities, so the memory must actually be released here — a cleared
-  // table that keeps its high-water capacity would sit at the budget
-  // ceiling forever and degrade into draining a one-group batch per Add.
+  // A mid-stream spill or drain means the table outgrew the budget.
+  // MemoryBytes() charges capacities, so the memory must actually be
+  // released here — a cleared table that keeps its high-water capacity
+  // would sit at the budget ceiling forever and degrade into draining a
+  // one-group batch per Add.
   groups_.clear();
   groups_.shrink_to_fit();
   key_arena_.clear();
@@ -713,64 +699,27 @@ void HashSortGrouper::ReleaseTable() {
   tuples_since_drain_ = 0;
 }
 
-Status HashSortGrouper::EmitTable(const TupleEmitFn& emit) {
+Status HashSortGrouper::DrainSorted(const TupleEmitFn& emit) {
   if (groups_.empty()) return Status::OK();
   ScopedTimeCategory group_by(TimeCategory::kGroupBy);
   if (config_.stats != nullptr) {
-    config_.stats->UpdateMemHwm(TableBytes());
+    config_.stats->UpdateMemHwm(MemoryBytes());
   }
   std::vector<uint32_t> order;
   SortedOrder(&order);
-  if (config_.metrics != nullptr) {
+  // The sort is metered like a spill's when the drain stands in for one,
+  // i.e. when it feeds the eager stream (mid-stream or the eager
+  // remainder). A non-eager table's final in-memory drain is left
+  // unmetered so HashSort simtime stays comparable with earlier records.
+  if (eager_sink_ && config_.metrics != nullptr) {
     config_.metrics->AddCpuOps(order.size());
   }
-  // Partial accumulators ship as-is — no final transform; the downstream
-  // group-by re-combines and finishes each key once.
   for (uint32_t g : order) {
     const Slice out[2] = {GroupKey(groups_[g]), Slice(groups_[g].acc)};
     PREGELIX_RETURN_NOT_OK(emit(out));
   }
   ReleaseTable();
   return Status::OK();
-}
-
-Status HashSortGrouper::Finish(const TupleEmitFn& emit) {
-  PREGELIX_CHECK(!finished_);
-  finished_ = true;
-  if (config_.stats != nullptr) {
-    config_.stats->UpdateMemHwm(TableBytes());
-  }
-  if (eager_sink_) {
-    // The remainder streams out as one more partial table; the downstream
-    // group-by re-combines and applies the final transform once. Drains
-    // that combined poorly sit in run files and are merged across drains
-    // here (eager mode requires a transform-free combiner — see the sort
-    // grouper's Finish).
-    PREGELIX_CHECK(!combiner_.finish);
-    PREGELIX_RETURN_NOT_OK(EmitTable(emit));
-    if (runs_.empty()) return Status::OK();
-    return internal_sort::MergeRuns(config_, combiner_, &spill_, runs_, emit);
-  }
-  if (runs_.empty()) {
-    ScopedTimeCategory group_by(TimeCategory::kGroupBy);
-    std::vector<uint32_t> order;
-    SortedOrder(&order);
-    std::string acc;
-    for (uint32_t g : order) {
-      acc.assign(groups_[g].acc.data(), groups_[g].acc.size());
-      if (combiner_.finish) combiner_.finish(&acc);
-      const Slice out[2] = {GroupKey(groups_[g]), Slice(acc)};
-      PREGELIX_RETURN_NOT_OK(emit(out));
-    }
-    groups_.clear();
-    key_arena_.clear();
-    std::fill(slots_.begin(), slots_.end(), 0);
-    acc_bytes_ = 0;
-    uniform_key_size_ = -1;
-    return Status::OK();
-  }
-  PREGELIX_RETURN_NOT_OK(SpillTable());
-  return internal_sort::MergeRuns(config_, combiner_, &spill_, runs_, emit);
 }
 
 // ---------------------------------------------------------------------------
@@ -800,7 +749,6 @@ Status PreclusteredGrouper::Add(const Slice& key, const Slice& payload,
 
 Status PreclusteredGrouper::EmitCurrent(const TupleEmitFn& emit) {
   if (!has_group_) return Status::OK();
-  if (combiner_.finish) combiner_.finish(&acc_);
   const Slice out[2] = {Slice(current_key_), Slice(acc_)};
   return emit(out);
 }

@@ -25,15 +25,16 @@ using TupleEmitFn = std::function<Status(std::span<const Slice> fields)>;
 /// Aggregation hooks for message combination (the user's `combine` UDF
 /// packaged for the group-by operators). Operates on the payload field of
 /// (key, payload) tuples; must be associative and commutative, as required
-/// of Pregel combiners. The default combiner (gather into a list) is built
-/// by the Pregelix layer on top of these hooks.
+/// of Pregel combiners. The accumulator is itself a payload: there is no
+/// final transform, so a partial group folded again anywhere downstream
+/// (a merge pass, the receive-side group-by) gives the same bytes. The
+/// default combiner (gather into a list) is built by the Pregelix layer on
+/// top of these hooks.
 struct GroupCombiner {
   /// Starts an accumulator from the first payload of a group.
   std::function<void(const Slice& payload, std::string* acc)> init;
   /// Folds another payload into the accumulator.
   std::function<void(const Slice& payload, std::string* acc)> step;
-  /// Optional final transform of the accumulator before emission.
-  std::function<void(std::string* acc)> finish;
 
   bool valid() const { return static_cast<bool>(init) && static_cast<bool>(step); }
 };
@@ -102,6 +103,60 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
 
 }  // namespace internal_sort
 
+/// The contract the two spilling group-bys share (paper Section 4): absorb
+/// tuples under `memory_budget_bytes`, write the in-memory state out as one
+/// sorted (and, with a combiner, pre-combined) run on overflow, and merge
+/// the runs at the end. The plans hold one of these and never ask which
+/// kind it is.
+class SpillingGrouper {
+ public:
+  virtual ~SpillingGrouper() = default;
+
+  SpillingGrouper(const SpillingGrouper&) = delete;
+  SpillingGrouper& operator=(const SpillingGrouper&) = delete;
+
+  virtual Status Add(std::span<const Slice> fields) = 0;
+
+  /// Streams everything added to `emit` in key order: the in-memory
+  /// remainder is drained straight to `emit` when eager or when nothing
+  /// spilled, and is spilled as one more run otherwise; any runs are then
+  /// merged (after an eager remainder, as a second sorted stream). The
+  /// instance is exhausted afterwards.
+  Status Finish(const TupleEmitFn& emit);
+
+  /// Eager shuffle mode (DESIGN.md §19): when a sink is set, a budget
+  /// overflow whose state combined heavily (distinct keys at most half the
+  /// tuples — duplicates cluster locally, so a cross-batch run merge would
+  /// have little left to collapse) drains the sorted, pre-combined state
+  /// straight to the sink instead of spilling a run; poorly-combining state
+  /// keeps spilling so cross-batch duplicates are still merged before they
+  /// reach the wire. Finish then streams the remainder, followed by the
+  /// merged runs, so a key may be emitted once per drain: the downstream
+  /// group-by folds the partial groups. Must be set before the first Add;
+  /// Finish must then be called with this same sink.
+  void SetEagerSink(TupleEmitFn sink) { eager_sink_ = std::move(sink); }
+
+  int runs_spilled() const { return static_cast<int>(runs_.size()); }
+
+ protected:
+  SpillingGrouper(const SortConfig& config, GroupCombiner combiner);
+
+  /// Bytes the in-memory state charges against memory_budget_bytes.
+  virtual size_t MemoryBytes() const = 0;
+  /// Streams the in-memory state to `emit` in key order (combined when
+  /// configured) and empties it.
+  virtual Status DrainSorted(const TupleEmitFn& emit) = 0;
+  /// Writes the in-memory state as one sorted run; no-op when empty.
+  virtual Status SpillRun() = 0;
+
+  SortConfig config_;
+  GroupCombiner combiner_;
+  internal_sort::SpillFile spill_;
+  std::vector<RunExtent> runs_;  ///< spilled runs, in creation order
+  TupleEmitFn eager_sink_;       ///< eager shuffle sink; empty = spill to runs
+  bool finished_ = false;
+};
+
 /// External sort with optional early aggregation (paper Section 4
 /// "sort-based group-by": the combine function is pushed into both the
 /// in-memory sort phase and the merge phase).
@@ -110,46 +165,23 @@ Status MergeRuns(const SortConfig& config, const GroupCombiner& combiner,
 /// data-loading and recovery plans to prepare bulk-load input). With a
 /// combiner (field_count must be 2, key_field 0) it is the sort-based
 /// group-by: runs are written pre-combined and merging combines across runs,
-/// so spill volume shrinks with the combining factor.
-class ExternalSortGrouper {
+/// so spill volume shrinks with the combining factor. In eager mode the
+/// ship-or-spill decision keys off the previous drain's combining ratio.
+class ExternalSortGrouper final : public SpillingGrouper {
  public:
   ExternalSortGrouper(const SortConfig& config, GroupCombiner combiner = {});
 
-  Status Add(std::span<const Slice> fields);
-
-  /// Sorts/merges everything added and streams it to `emit` in key order.
-  /// The instance is exhausted afterwards.
-  Status Finish(const TupleEmitFn& emit);
-
-  /// Eager shuffle mode (DESIGN.md §19): when a sink is set, a budget
-  /// overflow whose previous batch combined heavily (distinct keys at most
-  /// half the tuples — duplicates cluster locally, so a cross-batch run
-  /// merge would have little left to collapse) drains the sorted,
-  /// pre-combined batch straight to the sink instead of spilling a run
-  /// file; poorly-combining batches keep spilling so cross-batch
-  /// duplicates are still merged before they reach the wire. Finish streams
-  /// the remainder (and merges any spilled runs) without the combiner's
-  /// final transform — the downstream group-by re-combines the partial
-  /// groups and applies the transform once. A key may therefore be emitted
-  /// once per drained batch. Must be set before the first Add; Finish must
-  /// then be called with this same sink.
-  void SetEagerSink(TupleEmitFn sink) { eager_sink_ = std::move(sink); }
-
-  int runs_spilled() const { return static_cast<int>(runs_.size()); }
+  Status Add(std::span<const Slice> fields) override;
 
  private:
-  Status SpillBatch();
-  /// Sorts the in-memory batch, feeds it (combined if configured) to fn,
+  /// Pool bytes plus the entry array's real footprint (capacity, not size).
+  size_t MemoryBytes() const override;
+  /// Sorts the in-memory batch, feeds it (combined if configured) to `emit`,
   /// and records the batch's group/tuple counts for the eager-ship gate.
-  Status DrainBatchSorted(const TupleEmitFn& fn);
+  Status DrainSorted(const TupleEmitFn& emit) override;
+  Status SpillRun() override;
   /// Sorts entries_ by key (norm-prefix fast path); charges the sort's CPU.
   void SortBatch();
-  /// Bytes the in-memory batch charges against memory_budget_bytes: pool
-  /// bytes plus the entry array's real footprint (capacity, not size).
-  size_t BatchBytes() const;
-
-  SortConfig config_;
-  GroupCombiner combiner_;
 
   // In-memory batch: raw tuple bytes in a pool, one entry per tuple carrying
   // the tuple's (offset, size) plus its normalized key prefix, cached at Add
@@ -165,10 +197,7 @@ class ExternalSortGrouper {
   /// Key field of one batch entry, decoded from the pool.
   Slice EntryKey(const Entry& e) const;
   std::vector<Entry> entries_;
-  internal_sort::SpillFile spill_;
-  std::vector<RunExtent> runs_;  ///< spilled runs, in creation order
   std::string acc_;  ///< reused accumulator buffer for combined drains
-  TupleEmitFn eager_sink_;  ///< eager shuffle sink; empty = spill to runs
   /// The last drained batch's size (tuples in, distinct groups out): the
   /// in-batch combining ratio the next eager-ship decision keys off. Falls
   /// out of the drain loop for free; zero tuples = no flush yet, so the
@@ -180,14 +209,14 @@ class ExternalSortGrouper {
   /// sort/group loops run on the entry strip alone); -1 = empty batch,
   /// -2 = mixed or long keys.
   int64_t batch_key_size_ = -1;
-  bool finished_ = false;
 };
 
 /// Hash-based pre-aggregation with sorted spill runs (paper Section 4
 /// "HashSort group-by"): groups are absorbed into an in-memory hash table;
 /// when the table exceeds its budget it is emptied as one sorted, combined
 /// run; the merge phase is shared with the sort-based group-by. Faster than
-/// sort-based when the number of distinct keys is small.
+/// sort-based when the number of distinct keys is small. In eager mode the
+/// ship-or-spill decision keys off the live table's own combining ratio.
 ///
 /// The table is a flat open-addressing index (slot array of group indices)
 /// over an insertion-ordered group vector whose keys live in one arena, so
@@ -196,21 +225,11 @@ class ExternalSortGrouper {
 /// string's inline buffer). Memory is accounted from the real footprint of
 /// the arena, the group and slot arrays, and a signed running total of
 /// accumulator bytes (a combiner step may shrink its accumulator).
-class HashSortGrouper {
+class HashSortGrouper final : public SpillingGrouper {
  public:
   HashSortGrouper(const SortConfig& config, GroupCombiner combiner);
 
-  Status Add(std::span<const Slice> fields);
-  Status Finish(const TupleEmitFn& emit);
-
-  /// Eager shuffle mode: a budget overflow whose table combined heavily
-  /// (groups at most half the tuples absorbed) streams the sorted partial
-  /// accumulators to `sink` instead of spilling; poorly-combining tables
-  /// keep spilling. See ExternalSortGrouper::SetEagerSink for the full
-  /// contract.
-  void SetEagerSink(TupleEmitFn sink) { eager_sink_ = std::move(sink); }
-
-  int runs_spilled() const { return static_cast<int>(runs_.size()); }
+  Status Add(std::span<const Slice> fields) override;
 
  private:
   struct Group {
@@ -224,27 +243,22 @@ class HashSortGrouper {
   Slice GroupKey(const Group& g) const {
     return Slice(key_arena_.data() + g.key_offset, g.key_size);
   }
-  /// Real bytes held by the table against memory_budget_bytes.
-  size_t TableBytes() const;
+  /// Real bytes held by the table.
+  size_t MemoryBytes() const override;
+  /// Sorted (key, partial-acc) stream to `emit`, then release.
+  Status DrainSorted(const TupleEmitFn& emit) override;
+  Status SpillRun() override;
   /// Doubles the slot array and rehashes the group indices into it.
   void GrowSlots();
   /// Sorted-by-key view of groups_ (indices), using the cached norm keys.
   void SortedOrder(std::vector<uint32_t>* order) const;
-  Status SpillTable();
-  /// Eager drain: sorted (key, partial-acc) stream to `emit`, then release.
-  Status EmitTable(const TupleEmitFn& emit);
-  /// Frees the table's memory after a spill or eager drain.
+  /// Frees the table's memory after a spill or drain.
   void ReleaseTable();
 
-  SortConfig config_;
-  GroupCombiner combiner_;
   std::string key_arena_;        ///< group keys, back to back
   std::vector<Group> groups_;    ///< insertion order
   std::vector<uint32_t> slots_;  ///< open addressing; group index + 1, 0 empty
   int64_t acc_bytes_ = 0;        ///< signed sum of acc sizes (steps may shrink)
-  internal_sort::SpillFile spill_;
-  std::vector<RunExtent> runs_;  ///< spilled runs, in creation order
-  TupleEmitFn eager_sink_;  ///< eager shuffle sink; empty = spill to runs
   /// Tuples absorbed since the table was last drained; with groups_.size()
   /// this is the in-table combining ratio the eager-ship decision keys off.
   uint64_t tuples_since_drain_ = 0;
@@ -252,7 +266,6 @@ class HashSortGrouper {
   /// (keys are deduped), so the spill sort runs over a contiguous
   /// (norm, index) strip; -1 = empty, -2 = mixed or long keys.
   int64_t uniform_key_size_ = -1;
-  bool finished_ = false;
 };
 
 /// Streaming group-by over already-clustered input (paper Section 4

@@ -79,17 +79,26 @@ SortConfig MakeSortConfig(JobRuntimeContext* ctx, TaskContext& task,
   return config;
 }
 
+/// The message group-by the plan chose (sort-based or HashSort), over the
+/// program's combiner; `tag` names its scratch file.
+std::unique_ptr<SpillingGrouper> MakeMsgGrouper(JobRuntimeContext* ctx,
+                                                TaskContext& task,
+                                                const std::string& tag) {
+  const SortConfig config = MakeSortConfig(ctx, task, tag);
+  GroupCombiner combiner = ctx->program->MsgCombiner();
+  if (ctx->plan.groupby == GroupByStrategy::kHashSort) {
+    return std::make_unique<HashSortGrouper>(config, std::move(combiner));
+  }
+  return std::make_unique<ExternalSortGrouper>(config, std::move(combiner));
+}
+
 /// Eager shuffle-driven group-by gate (DESIGN.md §19). The send-side
 /// grouper may stream partial groups into the shuffle as they form only
-/// when (a) the connector is the pipelined unmerged one — the merging
-/// connector's receiver requires fully sorted, finished sender runs — and
-/// (b) the combiner has no final transform:
-/// non-eager plans apply `finish` at the sender and the receiver re-applies
-/// it to the re-combined groups, which is only byte-identical when finish
-/// is absent (both shipped combiners are pure accumulators).
+/// with the pipelined unmerged connector: the merging connector's receiver
+/// requires one fully sorted run per sender. The combiner is a pure fold,
+/// so the receiver re-combining partial groups gives the same bytes.
 bool EagerShuffleEnabled(const JobRuntimeContext* ctx) {
-  return ctx->plan.connector == GroupByConnector::kUnmerged &&
-         !ctx->program->MsgCombiner().finish;
+  return ctx->plan.connector == GroupByConnector::kUnmerged;
 }
 
 /// Per-partition global-state contribution tuple payload
@@ -248,31 +257,18 @@ class ComputeDriver {
         loj_(ctx->plan.join == JoinStrategy::kLeftOuter),
         defer_updates_(ctx->plan.join == JoinStrategy::kFullOuter),
         agg_hooks_(ctx->program->GlobalAggregator()),
+        grouper_(MakeMsgGrouper(ctx, task, "sendgb")),
         pending_(ctx->PartitionDir(task.partition) + "/pending-" +
                      std::to_string(ctx->current_superstep),
                  task.config->frame_size, 2, task.metrics) {
     contribution_.aggregate = agg_hooks_.initial;
     contribution_.has_aggregate = agg_hooks_.valid();
-    const GroupCombiner combiner = ctx->program->MsgCombiner();
-    SortConfig gconf = MakeSortConfig(ctx, task, "sendgb");
-    if (ctx->plan.groupby == GroupByStrategy::kHashSort) {
-      hash_grouper_ =
-          std::make_unique<HashSortGrouper>(gconf, combiner);
-    } else {
-      sort_grouper_ =
-          std::make_unique<ExternalSortGrouper>(gconf, combiner);
-    }
     if (EagerShuffleEnabled(ctx)) {
       // Budget overflows stream partial groups straight into the shuffle,
       // so the receive-side group-by starts while compute is still running.
-      auto sink = [this](std::span<const Slice> fields) {
+      grouper_->SetEagerSink([this](std::span<const Slice> fields) {
         return task_.output(0).Append(fields);
-      };
-      if (hash_grouper_ != nullptr) {
-        hash_grouper_->SetEagerSink(sink);
-      } else {
-        sort_grouper_->SetEagerSink(sink);
-      }
+      });
     }
   }
 
@@ -309,9 +305,7 @@ class ComputeDriver {
     for (const auto& [dst, msg_payload] : output_.messages) {
       const std::string dst_key = OrderedKeyI64(dst);
       const Slice fields[2] = {Slice(dst_key), Slice(msg_payload)};
-      PREGELIX_RETURN_NOT_OK(hash_grouper_ != nullptr
-                                 ? hash_grouper_->Add(fields)
-                                 : sort_grouper_->Add(fields));
+      PREGELIX_RETURN_NOT_OK(grouper_->Add(fields));
     }
 
     // D2: vertex update (fused mini-operator).
@@ -382,9 +376,7 @@ class ComputeDriver {
     auto emit = [&](std::span<const Slice> fields) {
       return task_.output(0).Append(fields);
     };
-    PREGELIX_RETURN_NOT_OK(hash_grouper_ != nullptr
-                               ? hash_grouper_->Finish(emit)
-                               : sort_grouper_->Finish(emit));
+    PREGELIX_RETURN_NOT_OK(grouper_->Finish(emit));
     // Contribution tuple (m-to-one).
     const std::string key = OrderedKeyI64(task_.partition);
     const std::string payload = contribution_.Encode();
@@ -432,8 +424,7 @@ class ComputeDriver {
   const bool defer_updates_;
   GlobalAggHooks agg_hooks_;
 
-  std::unique_ptr<ExternalSortGrouper> sort_grouper_;
-  std::unique_ptr<HashSortGrouper> hash_grouper_;
+  std::unique_ptr<SpillingGrouper> grouper_;  ///< D3's sender-side combine
   std::unique_ptr<IndexBulkLoader> next_vid_loader_;
   TupleRunWriter pending_;
   bool pending_any_ = false;
@@ -582,14 +573,13 @@ Status RunCombineOp(JobRuntimeContext* ctx, TaskContext& task) {
     payload_bytes += fields[1].size();
     return writer.Append(fields);
   };
-  const GroupCombiner combiner = ctx->program->MsgCombiner();
   FrameTupleAccessor acc(2);
   std::string frame;
 
   if (ctx->plan.connector == GroupByConnector::kMerged) {
     // The merging connector already delivers a key-sorted stream: one-pass
     // preclustered group-by.
-    PreclusteredGrouper grouper(combiner, task.metrics);
+    PreclusteredGrouper grouper(ctx->program->MsgCombiner(), task.metrics);
     while (task.input(0).Next(&frame)) {
       acc.Reset(Slice(frame));
       for (int t = 0; t < acc.tuple_count(); ++t) {
@@ -598,27 +588,17 @@ Status RunCombineOp(JobRuntimeContext* ctx, TaskContext& task) {
       }
     }
     PREGELIX_RETURN_NOT_OK(grouper.Finish(emit));
-  } else if (ctx->plan.groupby == GroupByStrategy::kHashSort) {
-    HashSortGrouper grouper(MakeSortConfig(ctx, task, "recvgb"), combiner);
-    while (task.input(0).Next(&frame)) {
-      acc.Reset(Slice(frame));
-      for (int t = 0; t < acc.tuple_count(); ++t) {
-        const Slice fields[2] = {acc.field(t, 0), acc.field(t, 1)};
-        PREGELIX_RETURN_NOT_OK(grouper.Add(fields));
-      }
-    }
-    PREGELIX_RETURN_NOT_OK(grouper.Finish(emit));
   } else {
-    ExternalSortGrouper grouper(MakeSortConfig(ctx, task, "recvgb"),
-                                combiner);
+    const std::unique_ptr<SpillingGrouper> grouper =
+        MakeMsgGrouper(ctx, task, "recvgb");
     while (task.input(0).Next(&frame)) {
       acc.Reset(Slice(frame));
       for (int t = 0; t < acc.tuple_count(); ++t) {
         const Slice fields[2] = {acc.field(t, 0), acc.field(t, 1)};
-        PREGELIX_RETURN_NOT_OK(grouper.Add(fields));
+        PREGELIX_RETURN_NOT_OK(grouper->Add(fields));
       }
     }
-    PREGELIX_RETURN_NOT_OK(grouper.Finish(emit));
+    PREGELIX_RETURN_NOT_OK(grouper->Finish(emit));
   }
   PREGELIX_RETURN_NOT_OK(writer.Finish());
   state.next_msg_path = path;

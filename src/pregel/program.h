@@ -86,7 +86,9 @@ class PregelProgram {
   /// The combine UDF as group-by hooks over message payloads. The default
   /// (no user combiner) gathers messages into a length-prefixed list; in
   /// that case message payloads emitted by Compute must already be
-  /// length-prefixed single items (the typed facade does this).
+  /// length-prefixed single items (the typed facade does this). The
+  /// combiner is a pure associative fold: the sender, any merge pass and
+  /// the receiver may each fold partial results again, with no final step.
   virtual GroupCombiner MsgCombiner() const = 0;
 
   /// The aggregate UDF; invalid hooks disable global aggregation.

@@ -708,23 +708,28 @@ TEST_F(SortTest, MergeRefillFaultPointSurfacesInjectedError) {
       << s.message();
 }
 
-// Eager shuffle (ExternalSortGrouper::SetEagerSink): feeds `n` (key,
+// Eager shuffle (SpillingGrouper::SetEagerSink): feeds `n` (key,
 // min-distance) tuples with keys drawn from [0, key_range) to an eager
-// grouper and a plain one under the same small budget. Records how many
-// tuples the sink saw before Finish, folds everything the sink saw with the
+// grouper and a plain one of the same kind under the same small budget.
+// Records how many tuples the sink saw before Finish and how many key-sorted
+// streams it saw during Finish, folds everything the sink saw with the
 // combiner (the receiving group-by's job), and checks the folded groups
 // equal the plain grouper's output.
 struct EagerRun {
   size_t shipped_before_finish = 0;
   int runs_spilled = 0;
+  /// 1 + the key descents in the sink's stream during Finish: 2 when the
+  /// remainder was drained and the runs were then merged after it.
+  int finish_streams = 0;
 };
 
+template <typename Grouper>
 EagerRun CheckEagerMatchesPlain(const SortConfig& config, uint64_t seed,
                                 int n, uint64_t key_range) {
   SortConfig plain_config = config;
   plain_config.scratch_prefix += "-plain";  // the two spill side by side
-  ExternalSortGrouper eager(config, MinDoubleCombiner());
-  ExternalSortGrouper plain(plain_config, MinDoubleCombiner());
+  Grouper eager(config, MinDoubleCombiner());
+  Grouper plain(plain_config, MinDoubleCombiner());
   std::map<int64_t, double> folded;
   size_t shipped = 0;
   const TupleEmitFn sink = [&](std::span<const Slice> fields) {
@@ -749,7 +754,17 @@ EagerRun CheckEagerMatchesPlain(const SortConfig& config, uint64_t seed,
   EagerRun run;
   run.shipped_before_finish = shipped;
   run.runs_spilled = eager.runs_spilled();
-  EXPECT_TRUE(eager.Finish(sink).ok());
+  std::string last_key;
+  EXPECT_TRUE(eager
+                  .Finish([&](std::span<const Slice> fields) {
+                    if (run.finish_streams == 0 ||
+                        fields[0].compare(Slice(last_key)) < 0) {
+                      ++run.finish_streams;
+                    }
+                    last_key = fields[0].ToString();
+                    return sink(fields);
+                  })
+                  .ok());
 
   std::map<int64_t, double> expected;
   EXPECT_TRUE(plain
@@ -772,21 +787,44 @@ EagerRun CheckEagerMatchesPlain(const SortConfig& config, uint64_t seed,
 }
 
 TEST_F(SortTest, EagerSinkShipsHeavilyCombiningBatches) {
-  // 20 keys: every budget-sized batch collapses to at most 20 groups, so
-  // after the first overflow (which always spills) batches ship.
-  const EagerRun run =
-      CheckEagerMatchesPlain(MakeConfig(2048), 31, 5000, /*key_range=*/20);
-  EXPECT_GT(run.shipped_before_finish, 0u);
-  EXPECT_EQ(run.runs_spilled, 1);
+  // 20 keys: every budget-sized batch or table collapses to at most 20
+  // groups, so overflows ship. The sort grouper judges a batch by the
+  // previous drain, so its first overflow spills; the HashSort grouper
+  // judges its live table.
+  const EagerRun sort = CheckEagerMatchesPlain<ExternalSortGrouper>(
+      MakeConfig(2048), 31, 5000, /*key_range=*/20);
+  EXPECT_GT(sort.shipped_before_finish, 0u);
+  EXPECT_EQ(sort.runs_spilled, 1);
+  const EagerRun hash = CheckEagerMatchesPlain<HashSortGrouper>(
+      MakeConfig(2048), 31, 5000, /*key_range=*/20);
+  EXPECT_GT(hash.shipped_before_finish, 0u);
 }
 
 TEST_F(SortTest, EagerSinkSpillsPoorlyCombiningBatches) {
   // Keys far outnumber the tuples of one batch, so batches barely combine
   // and keep spilling: nothing reaches the sink before Finish.
-  const EagerRun run =
-      CheckEagerMatchesPlain(MakeConfig(2048), 32, 5000, /*key_range=*/100000);
-  EXPECT_EQ(run.shipped_before_finish, 0u);
-  EXPECT_GT(run.runs_spilled, 1);
+  for (const EagerRun& run :
+       {CheckEagerMatchesPlain<ExternalSortGrouper>(MakeConfig(2048), 32,
+                                                    5000, 100000),
+        CheckEagerMatchesPlain<HashSortGrouper>(MakeConfig(2048), 32, 5000,
+                                                100000)}) {
+    EXPECT_EQ(run.shipped_before_finish, 0u);
+    EXPECT_GT(run.runs_spilled, 1);
+  }
+}
+
+TEST_F(SortTest, EagerFinishDrainsRemainderThenMergesRuns) {
+  // Spilled runs plus an in-memory remainder at Finish: the remainder goes
+  // to the sink as one sorted stream and the merged runs follow as a second,
+  // and the two folded together equal the plain grouper's output.
+  for (const EagerRun& run :
+       {CheckEagerMatchesPlain<ExternalSortGrouper>(MakeConfig(2048), 33,
+                                                    3000, 100000),
+        CheckEagerMatchesPlain<HashSortGrouper>(MakeConfig(2048), 33, 3000,
+                                                100000)}) {
+    EXPECT_GT(run.runs_spilled, 0);
+    EXPECT_EQ(run.finish_streams, 2);
+  }
 }
 
 // ---------------------------------------------------------------------------

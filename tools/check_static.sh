@@ -17,8 +17,9 @@
 #      plus an HTTP smoke of `pregelix serve` when the CLI is built
 #   5. --tsan: additionally build with PREGELIX_SANITIZE=thread and run the
 #      `tsan`-labeled ctest suites (tier-1 + concurrency_stress_test)
-#   6. --ubsan: additionally build with PREGELIX_SANITIZE=undefined and run
-#      the tier-1 ctest suites under UndefinedBehaviorSanitizer
+#   6. --ubsan: additionally build with PREGELIX_SANITIZE=address,undefined
+#      and run the tier-1 ctest suites under AddressSanitizer and
+#      UndefinedBehaviorSanitizer
 #
 # Stages whose toolchain is absent (no clang / clang-tidy on the box) are
 # SKIPPED with a notice rather than failed, so the gate degrades on
@@ -160,20 +161,20 @@ if [ "$RUN_TSAN" = 1 ]; then
   fi
 fi
 
-# --- 6. Optional: UBSan suite -----------------------------------------------
+# --- 6. Optional: ASan + UBSan suite ---------------------------------------
 if [ "$RUN_UBSAN" = 1 ]; then
-  note "UndefinedBehaviorSanitizer suite (PREGELIX_SANITIZE=undefined, ctest -L tier1)"
+  note "ASan+UBSan suite (PREGELIX_SANITIZE=address,undefined, ctest -L tier1)"
   BUILD_UBSAN="$REPO/build-ubsan"
-  if cmake -B "$BUILD_UBSAN" -S "$REPO" -DPREGELIX_SANITIZE=undefined \
+  if cmake -B "$BUILD_UBSAN" -S "$REPO" -DPREGELIX_SANITIZE=address,undefined \
         > "$BUILD_UBSAN.configure.log" 2>&1 \
      && cmake --build "$BUILD_UBSAN" -j "$JOBS" > "$BUILD_UBSAN.build.log" 2>&1 \
      && (cd "$BUILD_UBSAN" \
          && UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
             ctest -L tier1 --output-on-failure -j "$JOBS")
   then
-    echo "   OK: ubsan suites clean"
+    echo "   OK: asan+ubsan suites clean"
   else
-    fail "UBSan suite (logs: $BUILD_UBSAN.*.log)"
+    fail "ASan+UBSan suite (logs: $BUILD_UBSAN.*.log)"
   fi
 fi
 
